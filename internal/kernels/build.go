@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"context"
+	"fmt"
 	"math"
 
 	"wise/internal/matrix"
@@ -31,6 +33,31 @@ func Build(m *matrix.CSR, method Method, rowBlock int) Format {
 	default:
 		return BuildSRVPack(m, method)
 	}
+}
+
+// SpMVChain computes y = A^iters * x, where spmv(y, x) overwrites y with
+// one product A*x (a format's SpMV, or SpMVParallel bound to a worker
+// count) and rows is A's row count. ctx is checked before every multiply.
+// For iters > 1 A must be square; callers validate. x is never written: the
+// products ping-pong between two buffers of their own.
+func SpMVChain(ctx context.Context, rows int, x []float64, iters int, spmv func(y, x []float64)) ([]float64, error) {
+	y := make([]float64, rows)
+	var prev []float64
+	if iters > 1 {
+		prev = make([]float64, rows)
+	}
+	src := x
+	for i := 0; i < iters; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("kernels: chained spmv: %w", err)
+		}
+		if i > 0 {
+			y, prev = prev, y
+			src = prev
+		}
+		spmv(y, src)
+	}
+	return y, nil
 }
 
 // BuildOps counts the dominant operations of a format conversion, used by the

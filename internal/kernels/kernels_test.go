@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -553,4 +555,42 @@ func TestSRVPackGoldenFig1LAV(t *testing.T) {
 		t.Errorf("dense segment holds %d nonzeros, want 12", denseReal)
 	}
 	_ = counts
+}
+
+// TestSpMVChainMatchesRepeatedSpMV checks y = A^k x against k reference
+// products for every method (the ping-pong buffers must hand each product
+// to the next multiply), that x is never written, and that a cancelled
+// context stops the chain.
+func TestSpMVChainMatchesRepeatedSpMV(t *testing.T) {
+	m := gen.Banded(rand.New(rand.NewSource(3)), 96, []int{-2, 0, 3})
+	x := make([]float64, m.Cols)
+	for i := range x {
+		x[i] = float64(i%7) - 3
+	}
+	orig := append([]float64(nil), x...)
+	const iters = 3
+	want := append([]float64(nil), x...)
+	for i := 0; i < iters; i++ {
+		next := make([]float64, m.Rows)
+		m.SpMV(next, want)
+		want = next
+	}
+	for _, meth := range methodsUnderTest() {
+		f := Build(m, meth, 0)
+		got, err := SpMVChain(context.Background(), m.Rows, x, iters, func(y, x []float64) { f.SpMVParallel(y, x, 2) })
+		if err != nil {
+			t.Fatalf("%s: %v", meth, err)
+		}
+		if d := matrix.MaxAbsDiff(got, want); d > 1e-9 {
+			t.Errorf("%s: A^%d x off by %g", meth, iters, d)
+		}
+		if d := matrix.MaxAbsDiff(x, orig); d != 0 {
+			t.Fatalf("%s: SpMVChain wrote x", meth)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := SpMVChain(ctx, m.Rows, x, iters, func(y, x []float64) { m.SpMV(y, x) }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled chain: err = %v, want context.Canceled", err)
+	}
 }

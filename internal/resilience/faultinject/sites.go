@@ -13,7 +13,7 @@ var Registry = map[string]string{
 	"perf.label.matrix":               "panic/fail inside one matrix's measurement; exercises per-matrix quarantine",
 	"resilience.atomic.write":         "truncate or fail the atomic-file data stream; exercises torn-write recovery",
 	"resilience.atomic.rename":        "fail the final rename of an atomic write; exercises leftover-temp cleanup",
-	"serve.handler.panic":             "panic inside the /predict handler; exercises per-request recovery (500, process survives)",
+	"serve.handler.panic":             "panic in the request guard every POST route runs first; exercises per-request recovery (500, process survives)",
 	"serve.predict.error":             "fail the predictor; exercises CSR-fallback degradation and breaker trips",
 	"serve.predict.delay":             "stall the predictor (d=...); exercises deadline-overrun degradation",
 	"serve.reload.corrupt":            "fail model-reload validation; exercises rollback to the serving generation",

@@ -1,35 +1,38 @@
 // Package serve is the long-running inference surface of the WISE
 // reproduction: an HTTP/JSON server that wraps the features -> core.WISE ->
-// SelectFromClasses path in production robustness machinery. Every layer of
-// the request path is failure-isolated (RESILIENCE.md "Serving"):
+// SelectFromClasses path in production robustness machinery (RESILIENCE.md
+// "Serving").
 //
-//   - admission control bounds in-flight requests and sheds overload with
-//     429 + Retry-After instead of queueing without bound;
-//   - per-request deadlines are threaded as context.Context through feature
+// The three POST routes (/predict, /matrix, /spmv) share one request
+// pipeline, so each failure mode is handled in one place:
+//
+//   - guard (handler.go) wraps every route: request counters, panic
+//     recovery (a 500 plus a counter, never a dead process), admission
+//     control (bounded in-flight requests and wait queue, shedding with
+//     429 + Retry-After instead of queueing without bound), and the
+//     per-request deadline, threaded as context.Context through feature
 //     extraction and prediction;
-//   - a panic in one request becomes a 500 plus a counter, never a dead
-//     process;
-//   - ingest is hardened with a request-body cap and matrix.ReadLimits so a
-//     pathological upload cannot OOM the server;
-//   - prediction failures and deadline overruns degrade to the CSR fallback
-//     selection (marked "degraded": true) — a well-formed request always
-//     gets a usable answer;
-//   - a circuit breaker trips to fallback-only mode after consecutive
-//     predictor failures and half-opens on probe requests;
-//   - the model hot-reloads on SIGHUP or mtime change with validation and
-//     rollback (reload.go);
-//   - shutdown drains: stop accepting, finish in-flight within the drain
-//     budget, then exit (the CLI maps this to status 130), recording how
-//     many sessions were still pinned at the signal.
+//   - parse is the one MatrixMarket parse, under a request-body cap and
+//     matrix.ReadLimits, so a pathological upload is refused (400/413)
+//     rather than OOMing the server;
+//   - selectMethod is the /predict degradation ladder: prediction failures
+//     and deadline overruns answer with the CSR fallback marked
+//     "degraded": true, and a circuit breaker trips to fallback-only mode
+//     after consecutive predictor failures, half-opening on probes;
+//   - ingest (session_handlers.go) runs /matrix and inline /spmv through
+//     one singleflight-deduplicated inspector pass into the prepared-matrix
+//     store (internal/session, RESILIENCE.md "Stateful serving"), with one
+//     build-failure path: a saturated store answers statelessly from the
+//     request's own pass, marked "degraded": true, rather than refusing;
+//   - lookup serves /predict and /spmv addressed by fingerprint from a
+//     prepared session, with no parse, extraction or conversion;
+//   - every SpMV, cached or request-local, runs through kernels.SpMVChain.
 //
-// On top of the stateless path sits the stateful session layer
-// (internal/session, RESILIENCE.md "Stateful serving"): POST /matrix
-// ingests a MatrixMarket body once and returns its sha256 fingerprint;
-// POST /predict and POST /spmv then accept either an inline body or a
-// fingerprint, reusing the cached parse + features + prediction +
-// converted kernel. A saturated session store degrades those requests to
-// the stateless path ("degraded": true) rather than refusing them.
-//
+// Around the pipeline, the model hot-reloads on SIGHUP or mtime change
+// with validation and rollback (reload.go); shutdown drains (stop
+// accepting, finish in-flight work within the drain budget, record the
+// sessions still pinned, exit 130 in the CLI); and the optional
+// self-healing loop shadow-measures answers and retrains (feedback.go).
 // /healthz, /readyz, and /metricz expose liveness, readiness, and an obs
 // snapshot to orchestration.
 package serve
@@ -260,9 +263,9 @@ func New(cfg Config) (*Server, error) {
 		s.feedback = newFeedback(cfg, reg, models)
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /predict", s.handlePredict)
-	s.mux.HandleFunc("POST /matrix", s.handleMatrix)
-	s.mux.HandleFunc("POST /spmv", s.handleSpMV)
+	s.mux.HandleFunc("POST /predict", s.guard(nil, s.handlePredict))
+	s.mux.HandleFunc("POST /matrix", s.guard(requestsMatrix, s.handleMatrix))
+	s.mux.HandleFunc("POST /spmv", s.guard(requestsSpMV, s.handleSpMV))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metricz", s.handleMetricz)

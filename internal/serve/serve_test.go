@@ -313,20 +313,45 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	}
 }
 
-// TestHandlerPanicRecovered injects a panic into the handler: that request
-// gets a 500, and the server keeps answering afterwards.
+// TestHandlerPanicRecovered injects a panic into the request guard of every
+// POST route: that request gets a 500, and the server keeps answering
+// afterwards.
 func TestHandlerPanicRecovered(t *testing.T) {
-	armFaults(t, "serve.handler.panic:panic")
-	_, ts := newTestServer(t, nil)
-	body := mmBytes(t, testMatrix(t))
-
-	status, _, _ := postPredict(t, ts.URL, body)
-	if status != http.StatusInternalServerError {
-		t.Fatalf("panicking request: status = %d, want 500", status)
+	mm := mmBytes(t, testMatrix(t))
+	spmv, err := json.Marshal(spmvRequest{Matrix: string(mm)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	status, pr, _ := postPredict(t, ts.URL, body)
-	if status != http.StatusOK || pr.Degraded {
-		t.Fatalf("request after panic: status=%d degraded=%v, want healthy 200", status, pr.Degraded)
+	post := func(url string, body []byte) (int, bool) {
+		t.Helper()
+		resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", url, err)
+		}
+		defer resp.Body.Close()
+		var out struct {
+			Degraded bool `json:"degraded"`
+		}
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatalf("decoding %s answer: %v", url, err)
+			}
+		}
+		return resp.StatusCode, out.Degraded
+	}
+	for _, route := range []struct {
+		path string
+		body []byte
+	}{{"/predict", mm}, {"/matrix", mm}, {"/spmv", spmv}} {
+		armFaults(t, "serve.handler.panic:panic")
+		_, ts := newTestServer(t, nil)
+
+		if status, _ := post(ts.URL+route.path, route.body); status != http.StatusInternalServerError {
+			t.Fatalf("%s panicking request: status = %d, want 500", route.path, status)
+		}
+		if status, degraded := post(ts.URL+route.path, route.body); status != http.StatusOK || degraded {
+			t.Fatalf("%s request after panic: status=%d degraded=%v, want healthy 200", route.path, status, degraded)
+		}
 	}
 }
 

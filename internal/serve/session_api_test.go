@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"wise/internal/matrix"
+	"wise/internal/obs"
 	"wise/internal/resilience"
 )
 
@@ -246,6 +247,78 @@ func TestSessionSaturationDegrades(t *testing.T) {
 	}
 	if st := s.Sessions().Stats(); st.Entries != 0 || st.Saturations < 2 {
 		t.Fatalf("saturation stats: %+v", st)
+	}
+}
+
+// TestBuildFailureTable pins how /matrix and inline /spmv answer a failed
+// session build. A blown deadline degrades /matrix to the CSR fallback but
+// fails /spmv with 503 (an execution cannot be faked). A saturated store
+// answers /spmv statelessly from the request's own inspector pass, so the
+// matrix is converted exactly once.
+func TestBuildFailureTable(t *testing.T) {
+	body := mmBytes(t, testMatrix(t))
+
+	_, ts := newTestServer(t, func(c *Config) { c.RequestTimeout = time.Nanosecond })
+	status, mr := postMatrix(t, ts.URL, body)
+	if status != http.StatusOK || !mr.Degraded || mr.Reason != reasonDeadline || mr.Stored {
+		t.Fatalf("/matrix past its deadline: status=%d resp=%+v, want 200 degraded %q", status, mr, reasonDeadline)
+	}
+	if status, _, raw := postSpMV(t, ts.URL, spmvRequest{Matrix: string(body)}); status != http.StatusServiceUnavailable {
+		t.Fatalf("inline /spmv past its deadline: status=%d body=%s, want 503", status, raw)
+	}
+
+	_, ts = newTestServer(t, func(c *Config) { c.SessionBytes = 1024 })
+	built := obs.NewCounter("kernels.formats_built")
+	before := built.Value()
+	status, sr, raw := postSpMV(t, ts.URL, spmvRequest{Matrix: string(body)})
+	if status != http.StatusOK || !sr.Degraded || sr.Reason != reasonSessionSaturated {
+		t.Fatalf("saturated /spmv: status=%d body=%s", status, raw)
+	}
+	if got := built.Value() - before; got != 1 {
+		t.Fatalf("saturated /spmv built %d formats, want exactly 1", got)
+	}
+}
+
+// TestSaturatedConcurrentUploads fires concurrent identical uploads at a
+// store too small for any entry. The singleflight leader answers from its
+// own build; a waiter gets the leader's ErrSaturated but not its Prepared
+// and runs one pass of its own. Every answer is the same degraded selection.
+func TestSaturatedConcurrentUploads(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) {
+		c.SessionBytes = 1024
+		c.MaxInFlight = 16
+		c.RequestTimeout = 10 * time.Second
+	})
+	body := mmBytes(t, testMatrix(t))
+
+	const n = 8
+	var wg sync.WaitGroup
+	answers := make([]matrixResponse, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/matrix", "text/plain", bytes.NewReader(body))
+			if err != nil {
+				t.Errorf("upload %d: %v", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("upload %d: status=%d", i, resp.StatusCode)
+				return
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&answers[i]); err != nil {
+				t.Errorf("upload %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, a := range answers {
+		if !a.Degraded || a.Reason != reasonSessionSaturated || a.Stored ||
+			a.Fingerprint != answers[0].Fingerprint || a.Method != answers[0].Method || a.Rows == 0 {
+			t.Fatalf("upload %d: %+v, want the degraded %q answer %+v", i, a, reasonSessionSaturated, answers[0])
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"time"
 
+	"wise/internal/core"
 	"wise/internal/features"
 	"wise/internal/kernels"
 	"wise/internal/matrix"
@@ -23,10 +24,6 @@ import (
 // converted artifact, warm when addressed by fingerprint. Saturation of the
 // session store degrades both to the stateless path, marked
 // "degraded": true — never a refusal.
-
-// errBadMatrix classifies a session build failure as the client's fault
-// (unparseable or over-limit matrix), mapping to 400 instead of 500.
-var errBadMatrix = errors.New("serve: bad matrix body")
 
 // reasonSessionSaturated marks answers produced by the stateless path
 // because the session store could not admit the entry.
@@ -76,12 +73,12 @@ const (
 )
 
 // prepare is the session BuildFunc: one full inspector pass over an
-// uploaded body under the request's deadline. Parse failures are wrapped in
+// uploaded body under the request's deadline. Parse failures wrap
 // errBadMatrix so the handler answers 400, not 500.
 func (s *Server) prepare(ctx context.Context, lm *loadedModel, body []byte) (*session.Prepared, error) {
-	m, err := matrix.ReadMatrixMarketLimited(bytes.NewReader(body), s.cfg.Limits)
+	m, err := s.parse(bytes.NewReader(body))
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errBadMatrix, err)
+		return nil, err
 	}
 	feat, err := features.ExtractCtx(ctx, m, lm.w.FeatureCfg)
 	if err != nil {
@@ -97,342 +94,201 @@ func (s *Server) prepare(ctx context.Context, lm *loadedModel, body []byte) (*se
 	}, nil
 }
 
-// readBody drains the capped request body. On failure it writes the error
-// response (413 for an over-cap body, 400 otherwise) and reports false.
+// readBody drains the capped request body. On failure it rejects the
+// request (413 for an over-cap body, 400 otherwise) and reports false.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		requestsRejected.Inc()
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		reject(w, err)
 		return nil, false
 	}
 	return body, true
 }
 
-// handleMatrix ingests a matrix into the session store: admission, deadline,
-// bounded read, then a singleflight-deduplicated inspector pass. The
-// response always carries the fingerprint; when the store is saturated the
-// answer comes from the stateless path with "degraded": true.
-func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	requestsTotal.Inc()
-	requestsMatrix.Inc()
-	defer func() {
-		if rec := recover(); rec != nil {
-			requestsPanicked.Inc()
-			writeJSON(w, http.StatusInternalServerError,
-				errorResponse{Error: fmt.Sprintf("serve: internal error: %v", rec)})
-		}
-		requestSeconds.Observe(time.Since(start).Seconds())
-	}()
-
-	if err := s.admit.acquire(r.Context()); err != nil {
-		if errors.Is(err, errSaturated) {
-			requestsShed.Inc()
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", s.admit.retryAfterSeconds()))
-			writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		return
+// ingest pins the prepared session for body, running one singleflight-
+// deduplicated inspector pass on a miss; the caller releases ent. It is the
+// one build-failure path of /matrix and inline /spmv:
+//
+//   - a saturated store returns no entry but the Prepared to answer
+//     statelessly from: the one this request's own build made, or, for a
+//     singleflight waiter (which shares the leader's error but not its
+//     Prepared), one pass of its own;
+//   - a blown deadline returns the build error unanswered, because the
+//     routes degrade differently;
+//   - a bad body (400) or any other failure (500) is answered here, and
+//     everything returned is nil.
+func (s *Server) ingest(ctx context.Context, w http.ResponseWriter, lm *loadedModel, fp string, body []byte) (ent *session.Entry, hit bool, p *session.Prepared, deadlineErr error) {
+	ent, hit, err := s.sessions.GetOrCreate(ctx, fp, func(ctx context.Context) (*session.Prepared, error) {
+		var err error
+		p, err = s.prepare(ctx, lm, body)
+		return p, err
+	})
+	if err == nil {
+		return ent, hit, nil, nil
 	}
-	defer s.admit.release()
+	if errors.Is(err, session.ErrSaturated) {
+		if p == nil {
+			p, err = s.prepare(ctx, lm, body)
+		}
+		if p != nil {
+			sessionsDegraded.Inc()
+			return nil, false, p, nil
+		}
+	}
+	switch {
+	case errors.Is(err, errBadMatrix):
+		reject(w, err)
+	case ctx.Err() != nil:
+		return nil, false, nil, err
+	default:
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+	}
+	return nil, false, nil, nil
+}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-
+// handleMatrix ingests a matrix into the session store. The response always
+// carries the fingerprint; a saturated store answers statelessly and a blown
+// deadline with the CSR fallback, both with "degraded": true.
+func (s *Server) handleMatrix(ctx context.Context, w http.ResponseWriter, r *http.Request, start time.Time) {
 	body, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}
 	fp := session.Fingerprint(body)
 	lm := s.models.current()
-	ent, hit, err := s.sessions.GetOrCreate(ctx, fp, func(ctx context.Context) (*session.Prepared, error) {
-		return s.prepare(ctx, lm, body)
-	})
-	if err != nil {
-		s.answerMatrixFallback(ctx, w, lm, fp, body, err, start)
-		return
-	}
-	defer s.sessions.Release(ent)
-
-	sel := s.sessions.Refresh(ent, lm.genID, lm.w.SelectFromFeatures)
-	m := ent.Matrix()
-	resp := matrixResponse{Stored: true}
-	resp.Method = sel.Method.String()
-	resp.Index = sel.Index
-	resp.PredictedClass = sel.PredictedClass
-	resp.Classes = sel.Classes
-	resp.Fingerprint, resp.Cached = fp, hit
-	resp.Rows, resp.Cols, resp.NNZ = m.Rows, m.Cols, m.NNZ()
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// answerMatrixFallback classifies a failed session build. Client mistakes
-// are 4xx; a saturated store degrades to the stateless predict path (the
-// fingerprint still reported, Stored false) so the upload is answered, not
-// refused; a blown deadline degrades to the CSR fallback like /predict.
-func (s *Server) answerMatrixFallback(ctx context.Context, w http.ResponseWriter, lm *loadedModel, fp string, body []byte, err error, start time.Time) {
+	ent, hit, p, err := s.ingest(ctx, w, lm, fp, body)
+	var resp matrixResponse
 	switch {
-	case errors.Is(err, errBadMatrix):
-		requestsRejected.Inc()
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	case errors.Is(err, session.ErrSaturated):
-		sessionsDegraded.Inc()
-		m, parseErr := matrix.ReadMatrixMarketLimited(bytes.NewReader(body), s.cfg.Limits)
-		if parseErr != nil {
-			requestsRejected.Inc()
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: parseErr.Error()})
-			return
-		}
-		pr, _, _ := s.selectMethod(ctx, lm, m)
-		if !pr.Degraded {
-			pr.Degraded, pr.Reason = true, reasonSessionSaturated
-		}
+	case ent != nil:
+		defer s.sessions.Release(ent)
+		sel := s.sessions.Refresh(ent, lm.genID, lm.w.SelectFromFeatures)
+		resp = matrixResponse{predictResponse: selectionResponse(sel, ent.Matrix()), Stored: true}
+		resp.Cached = hit
+	case p != nil:
 		requestsDegraded.Inc()
-		resp := matrixResponse{predictResponse: pr}
-		resp.Fingerprint = fp
-		resp.Rows, resp.Cols, resp.NNZ = m.Rows, m.Cols, m.NNZ()
-		resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-		writeJSON(w, http.StatusOK, resp)
-		return
-	case ctx.Err() != nil:
+		resp = matrixResponse{predictResponse: selectionResponse(p.Sel, p.M)}
+		resp.Degraded, resp.Reason = true, reasonSessionSaturated
+	case err != nil:
 		requestsDegraded.Inc()
-		resp := matrixResponse{predictResponse: fallbackResponse(lm, reasonDeadline)}
-		resp.Fingerprint = fp
-		resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-		writeJSON(w, http.StatusOK, resp)
-		return
+		resp = matrixResponse{predictResponse: fallbackResponse(lm, reasonDeadline)}
 	default:
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		return
 	}
+	resp.Fingerprint = fp
+	resp.ElapsedMS = msSince(start)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleSpMV executes y = A^k x against a prepared session (warm: the
 // cached converted artifact, zero preprocessing) or an inline body (cold:
 // the full inspector pass, cached for next time). The execution pins the
 // session, so eviction cannot free the artifact mid-multiply.
-func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	requestsTotal.Inc()
-	requestsSpMV.Inc()
-	defer func() {
-		if rec := recover(); rec != nil {
-			requestsPanicked.Inc()
-			writeJSON(w, http.StatusInternalServerError,
-				errorResponse{Error: fmt.Sprintf("serve: internal error: %v", rec)})
-		}
-		requestSeconds.Observe(time.Since(start).Seconds())
-	}()
-
-	if err := s.admit.acquire(r.Context()); err != nil {
-		if errors.Is(err, errSaturated) {
-			requestsShed.Inc()
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", s.admit.retryAfterSeconds()))
-			writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		return
-	}
-	defer s.admit.release()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-
+func (s *Server) handleSpMV(ctx context.Context, w http.ResponseWriter, r *http.Request, start time.Time) {
 	body, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}
 	var req spmvRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		requestsRejected.Inc()
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("serve: decoding /spmv request: %v", err)})
+		reject(w, fmt.Errorf("serve: decoding /spmv request: %w", err))
 		return
 	}
 	if (req.Fingerprint == "") == (req.Matrix == "") {
-		requestsRejected.Inc()
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "serve: /spmv needs exactly one of \"fingerprint\" or \"matrix\""})
+		reject(w, errors.New("serve: /spmv needs exactly one of \"fingerprint\" or \"matrix\""))
 		return
 	}
 	if req.Iterations <= 0 {
 		req.Iterations = 1
 	}
 	if req.Iterations > spmvMaxIterations {
-		requestsRejected.Inc()
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("serve: iterations %d exceeds the %d cap", req.Iterations, spmvMaxIterations)})
+		reject(w, fmt.Errorf("serve: iterations %d exceeds the %d cap", req.Iterations, spmvMaxIterations))
 		return
 	}
+	workers := kernels.DefaultWorkers()
 
 	lm := s.models.current()
-	if req.Fingerprint != "" {
-		ent, ok := s.sessions.Acquire(req.Fingerprint)
-		if !ok {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("serve: unknown fingerprint %s; upload via POST /matrix first", req.Fingerprint)})
+	fp, warm := req.Fingerprint, true
+	var ent *session.Entry
+	var sel core.Selection
+	if fp != "" {
+		if ent, sel, ok = s.lookup(w, lm, fp); !ok {
 			return
 		}
-		defer s.sessions.Release(ent)
-		spmvWarm.Inc()
-		sel := s.sessions.Refresh(ent, lm.genID, lm.w.SelectFromFeatures)
-		s.answerSpMVSession(ctx, w, ent, sel.Method.String(), req, true, start)
-		return
-	}
-
-	// Inline body: content-address it and prepare (or reuse) the session.
-	inline := []byte(req.Matrix)
-	fp := session.Fingerprint(inline)
-	ent, hit, err := s.sessions.GetOrCreate(ctx, fp, func(ctx context.Context) (*session.Prepared, error) {
-		return s.prepare(ctx, lm, inline)
-	})
-	if err != nil {
-		s.answerSpMVFallback(ctx, w, lm, fp, inline, req, err, start)
-		return
+	} else {
+		// Inline body: content-address it and prepare (or reuse) the session.
+		inline := []byte(req.Matrix)
+		fp = session.Fingerprint(inline)
+		var p *session.Prepared
+		var err error
+		ent, warm, p, err = s.ingest(ctx, w, lm, fp, inline)
+		switch {
+		case p != nil:
+			// Saturated store: run the request-local format and discard it.
+			// It is never shared, so no pinning or execution serialization.
+			spmvCold.Inc()
+			answerSpMV(w, req, p.M, spmvResponse{Fingerprint: fp, Method: p.Sel.Method.String(), Degraded: true, Reason: reasonSessionSaturated}, start,
+				func(x []float64) ([]float64, error) {
+					return kernels.SpMVChain(ctx, p.M.Rows, x, req.Iterations, func(y, x []float64) { p.Format.SpMVParallel(y, x, workers) })
+				})
+			return
+		case err != nil:
+			// Deadline gone: an execution cannot be faked by a fallback answer.
+			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+			return
+		case ent == nil:
+			return
+		}
+		sel = s.sessions.Refresh(ent, lm.genID, lm.w.SelectFromFeatures)
 	}
 	defer s.sessions.Release(ent)
-	if hit {
+	if warm {
 		spmvWarm.Inc()
 	} else {
 		spmvCold.Inc()
 	}
-	req.Fingerprint = fp
-	sel := s.sessions.Refresh(ent, lm.genID, lm.w.SelectFromFeatures)
-	s.answerSpMVSession(ctx, w, ent, sel.Method.String(), req, hit, start)
+	answerSpMV(w, req, ent.Matrix(), spmvResponse{Fingerprint: fp, Method: sel.Method.String(), Warm: warm}, start,
+		func(x []float64) ([]float64, error) { return s.sessions.Exec(ctx, ent, x, req.Iterations, workers) })
 }
 
-// answerSpMVSession validates the vector shape and runs the pinned
-// session's cached kernel.
-func (s *Server) answerSpMVSession(ctx context.Context, w http.ResponseWriter, ent *session.Entry, method string, req spmvRequest, warm bool, start time.Time) {
-	m := ent.Matrix()
-	x, errResp := spmvVector(m, req)
-	if errResp != "" {
-		requestsRejected.Inc()
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: errResp})
+// answerSpMV checks the request's vector against m, runs exec on it, and
+// answers with resp completed by the result, echoing y only for small
+// results. An execution error (the deadline) is 503.
+func answerSpMV(w http.ResponseWriter, req spmvRequest, m *matrix.CSR, resp spmvResponse, start time.Time, exec func(x []float64) ([]float64, error)) {
+	x, err := spmvVector(m, req)
+	if err != nil {
+		reject(w, err)
 		return
 	}
-	y, err := s.sessions.Exec(ctx, ent, x, req.Iterations, kernels.DefaultWorkers())
+	y, err := exec(x)
 	if err != nil {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, spmvResult(req.Fingerprint, method, warm, false, "", m, req.Iterations, y, start))
-}
-
-// answerSpMVFallback handles a failed session build for an inline /spmv:
-// 4xx for client mistakes, a stateless one-shot execution marked degraded
-// when the store is saturated, 503 when the deadline is already gone (the
-// execution itself cannot be faked by a fallback answer).
-func (s *Server) answerSpMVFallback(ctx context.Context, w http.ResponseWriter, lm *loadedModel, fp string, inline []byte, req spmvRequest, err error, start time.Time) {
-	switch {
-	case errors.Is(err, errBadMatrix):
-		requestsRejected.Inc()
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	case errors.Is(err, session.ErrSaturated):
-		sessionsDegraded.Inc()
-		spmvCold.Inc()
-		m, parseErr := matrix.ReadMatrixMarketLimited(bytes.NewReader(inline), s.cfg.Limits)
-		if parseErr != nil {
-			requestsRejected.Inc()
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: parseErr.Error()})
-			return
-		}
-		x, errResp := spmvVector(m, req)
-		if errResp != "" {
-			requestsRejected.Inc()
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: errResp})
-			return
-		}
-		// Stateless: select (with the usual degradation ladder), convert,
-		// execute, discard. The format is request-local, so no pinning or
-		// execution serialization is needed.
-		pr, sel, predicted := s.selectMethod(ctx, lm, m)
-		method := sel.Method
-		if !predicted {
-			method = lm.w.Models[lm.fallback].Method
-		}
-		f := kernels.Build(m, method, lm.w.Mach.RowBlock)
-		y, execErr := runSpMV(ctx, f, m, x, req.Iterations, kernels.DefaultWorkers())
-		if execErr != nil {
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: execErr.Error()})
-			return
-		}
+	if resp.Degraded {
 		requestsDegraded.Inc()
-		reason := pr.Reason
-		if reason == "" {
-			reason = reasonSessionSaturated
-		}
-		writeJSON(w, http.StatusOK, spmvResult(fp, method.String(), false, true, reason, m, req.Iterations, y, start))
-		return
-	case ctx.Err() != nil:
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		return
-	default:
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 	}
+	resp.Rows, resp.Cols, resp.NNZ = m.Rows, m.Cols, m.NNZ()
+	resp.Iterations = req.Iterations
+	resp.YNorm = matrix.Norm2(y)
+	if m.Rows <= spmvInlineRows {
+		resp.Y = y
+	}
+	resp.ElapsedMS = msSince(start)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // spmvVector resolves the input vector for a request: the client's x
 // (length-checked) or the all-ones default. Multi-iteration runs need a
-// square matrix; the error string is empty on success.
-func spmvVector(m *matrix.CSR, req spmvRequest) ([]float64, string) {
+// square matrix.
+func spmvVector(m *matrix.CSR, req spmvRequest) ([]float64, error) {
 	if req.Iterations > 1 && m.Rows != m.Cols {
-		return nil, fmt.Sprintf("serve: iterations > 1 needs a square matrix, got %dx%d", m.Rows, m.Cols)
+		return nil, fmt.Errorf("serve: iterations > 1 needs a square matrix, got %dx%d", m.Rows, m.Cols)
 	}
 	if req.X == nil {
-		return matrix.Ones(m.Cols), ""
+		return matrix.Ones(m.Cols), nil
 	}
 	if len(req.X) != m.Cols {
-		return nil, fmt.Sprintf("serve: x has %d entries, matrix has %d columns", len(req.X), m.Cols)
+		return nil, fmt.Errorf("serve: x has %d entries, matrix has %d columns", len(req.X), m.Cols)
 	}
-	return req.X, ""
-}
-
-// runSpMV chains iters multiplies on a request-local format (the stateless
-// path; the session store runs the cached-format equivalent).
-func runSpMV(ctx context.Context, f kernels.Format, m *matrix.CSR, x []float64, iters, workers int) ([]float64, error) {
-	y := make([]float64, m.Rows)
-	src := x
-	var tmp []float64
-	if iters > 1 {
-		tmp = make([]float64, m.Cols)
-	}
-	for i := 0; i < iters; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("serve: spmv: %w", err)
-		}
-		f.SpMVParallel(y, src, workers)
-		if i+1 < iters {
-			copy(tmp, y)
-			src = tmp
-		}
-	}
-	return y, nil
-}
-
-// spmvResult assembles the response, echoing y only for small results.
-func spmvResult(fp, method string, warm, degraded bool, reason string, m *matrix.CSR, iters int, y []float64, start time.Time) spmvResponse {
-	resp := spmvResponse{
-		Fingerprint: fp,
-		Method:      method,
-		Warm:        warm,
-		Degraded:    degraded,
-		Reason:      reason,
-		Rows:        m.Rows,
-		Cols:        m.Cols,
-		NNZ:         m.NNZ(),
-		Iterations:  iters,
-		YNorm:       matrix.Norm2(y),
-		ElapsedMS:   float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	if m.Rows <= spmvInlineRows {
-		resp.Y = y
-	}
-	return resp
+	return req.X, nil
 }

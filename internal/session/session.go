@@ -480,21 +480,9 @@ func (s *Store) Exec(ctx context.Context, e *Entry, x []float64, iters, workers 
 		panic(fmt.Sprintf("session: exec: %v", err))
 	}
 	f := s.ensureFormat(e)
-	y := make([]float64, e.m.Rows)
-	src := x
-	var tmp []float64
-	for i := 0; i < iters; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("session: exec: %w", err)
-		}
-		f.SpMVParallel(y, src, workers)
-		if i+1 < iters {
-			if tmp == nil {
-				tmp = make([]float64, e.m.Cols)
-			}
-			copy(tmp, y)
-			src = tmp
-		}
+	y, err := kernels.SpMVChain(ctx, e.m.Rows, x, iters, func(y, x []float64) { f.SpMVParallel(y, x, workers) })
+	if err != nil {
+		return nil, fmt.Errorf("session: exec: %w", err)
 	}
 	sessionExecs.Inc()
 	return y, nil

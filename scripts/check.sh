@@ -21,6 +21,10 @@ mkdir -p results
 # packages whose import cone changed since the last run are re-analyzed.
 go run ./cmd/wise-lint -budget 120s -cache .lintcache -jobs "$(nproc 2>/dev/null || echo 4)" -sarif results/lint.sarif ./...
 go build ./...
+# The end-to-end benchmark (wisebench/, BENCHMARK.json) is its own Go module,
+# so ./... above skips it; it builds against serve, session and kernels APIs,
+# so vet it and run its short tests here.
+(cd wisebench && GOWORK=off go vet ./... && GOWORK=off go test -short ./...)
 # Focused race gate over the concurrency-heavy packages (worker pools,
 # checkpoint collector, fault injection, model registry, session store)
 # before the full module run.
