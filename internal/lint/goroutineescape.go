@@ -20,9 +20,8 @@ import (
 // writes on both sides under a common held lock, and index-disjoint slice
 // writes partitioned by a goroutine-local index, are exempt.
 var GoroutineEscapeAnalyzer = &Analyzer{
-	Name:        "goroutineescape",
-	Category:    "concurrency",
-	ModuleFacts: true,
+	Name:     "goroutineescape",
+	Category: "concurrency",
 	Doc: "A value written inside a spawned goroutine and written again by the " +
 		"spawner after the go statement, with no synchronization barrier between " +
 		"the go and the later write, races. Interprocedural: writes made by " +

@@ -14,9 +14,8 @@ import (
 // sync.RWMutex need the write lock, not just RLock. Malformed annotations are
 // themselves findings — a guard that names no mutex protects nothing.
 var GuardedByAnalyzer = &Analyzer{
-	Name:        "guardedby",
-	Category:    "concurrency",
-	ModuleFacts: true,
+	Name:     "guardedby",
+	Category: "concurrency",
 	Doc: "Struct fields annotated `// guarded by <lock>` (a sibling mutex field or " +
 		"a package-level mutex) must only be accessed with that lock held; writes " +
 		"under an RWMutex need the write lock. The check is interprocedural: a " +

@@ -20,17 +20,11 @@ import (
 // Analyzer is one named check. Run inspects a single package and reports
 // findings through the Pass. Category, when set, groups the analyzer's SARIF
 // rule for code-scanning dashboards (the concurrency suite shares one).
-// ModuleFacts marks analyzers whose findings depend on facts outside the
-// analyzed package and its import closure (the call graph, the entry-held
-// fixpoint, the fault-site registry in _test.go files): the incremental
-// engine (engine.go) must key their cached findings on the whole module
-// state, not just the package's dependency cone.
 type Analyzer struct {
-	Name        string
-	Doc         string
-	Category    string
-	ModuleFacts bool
-	Run         func(*Pass)
+	Name     string
+	Doc      string
+	Category string
+	Run      func(*Pass)
 }
 
 // All returns the full analyzer suite in reporting order.
@@ -215,32 +209,15 @@ func suppressed(f Finding, dirs []ignoreDirective) bool {
 // nothing any of the run analyzers reported are themselves flagged by the
 // unusedignore mini-check, so stale suppressions cannot linger.
 func RunPackage(m *Module, pkg *Package, analyzers []*Analyzer) []Finding {
-	return runPackageTier(m, pkg, analyzers, true, nil)
-}
-
-// runPackageTier is RunPackage with two extra controls for the incremental
-// engine: includeMeta gates the malformed-//lint:ignore meta findings (the
-// engine runs a package's analyzers as two cacheable tiers and must emit the
-// directive diagnostics exactly once), and cancelled, when non-nil, aborts
-// between analyzers once a wall-clock budget blows (the partial findings are
-// returned but must not be cached).
-func runPackageTier(m *Module, pkg *Package, analyzers []*Analyzer, includeMeta bool, cancelled func() bool) []Finding {
 	var raw []Finding
 	for _, a := range analyzers {
-		if cancelled != nil && cancelled() {
-			break
-		}
 		pass := &Pass{Analyzer: a, Fset: m.Fset, Pkg: pkg, Mod: m, findings: &raw}
 		a.Run(pass)
 	}
-	var meta []Finding // malformed-directive findings are never suppressible
+	var out []Finding // malformed-directive findings are never suppressible
 	var dirs []ignoreDirective
 	for _, f := range pkg.Files {
-		dirs = append(dirs, parseIgnores(m.Fset, f, &meta)...)
-	}
-	var out []Finding
-	if includeMeta {
-		out = meta
+		dirs = append(dirs, parseIgnores(m.Fset, f, &out)...)
 	}
 	for _, f := range raw {
 		if !suppressed(f, dirs) {
@@ -311,10 +288,9 @@ func sortFindings(fs []Finding) {
 		if a.Analyzer != b.Analyzer {
 			return a.Analyzer < b.Analyzer
 		}
-		// Message is the final tiebreaker: sort.Slice is not stable, and the
-		// engine promises byte-identical reports across serial, parallel,
-		// cold-cache, and warm-cache runs — two findings at the same position
-		// from the same analyzer must never flip order between runs.
+		// Message is the final tiebreaker: sort.Slice is not stable, and two
+		// findings at the same position from the same analyzer must never
+		// flip order between runs.
 		return a.Message < b.Message
 	})
 }

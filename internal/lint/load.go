@@ -38,7 +38,6 @@ type Module struct {
 
 	byPath map[string]*Package
 	std    types.Importer
-	stdMu  sync.Mutex // serializes std importer use: gc export-data readers are not concurrency-safe
 
 	// Interprocedural analysis state (callgraph, guarded-by registry,
 	// entry-held lock sets — see interproc.go), built lazily: once for the
@@ -88,16 +87,7 @@ func modulePath(gomod string) (string, error) {
 // directories are walked directly, module-internal imports are resolved
 // against the walked set, and standard-library imports come from the
 // compiler's export data (with a from-source fallback).
-func LoadModule(dir string) (*Module, error) { return LoadModuleJobs(dir, 1) }
-
-// LoadModuleJobs is LoadModule with a parallelism knob: with jobs > 1,
-// directories are parsed concurrently and packages are type-checked by a
-// worker pool walking the import DAG in dependency order (independent
-// subtrees check concurrently). The resulting Module is identical to a
-// serial load — Packages is always in the deterministic topological order,
-// so finding order cannot depend on scheduling. jobs <= 1 is the serial
-// path.
-func LoadModuleJobs(dir string, jobs int) (*Module, error) {
+func LoadModule(dir string) (*Module, error) {
 	root, err := FindModuleRoot(dir)
 	if err != nil {
 		return nil, err
@@ -118,169 +108,33 @@ func LoadModuleJobs(dir string, jobs int) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	parsed, err := m.parseDirs(dirs, jobs)
-	if err != nil {
-		return nil, err
+	parsed := make(map[string]*Package) // import path -> parsed, not yet checked
+	for _, d := range dirs {
+		pkg, err := m.parseDir(d, m.importPathFor(d))
+		if err != nil {
+			return nil, err
+		}
+		if pkg != nil {
+			parsed[pkg.Path] = pkg
+		}
 	}
 	order, err := topoOrder(parsed, modPath)
 	if err != nil {
 		return nil, err
 	}
 	// byPath is fully populated before any type-check so the importer can
-	// resolve module-internal imports; DAG scheduling guarantees a package's
-	// imports are checked (Types non-nil) before the package itself.
+	// resolve module-internal imports; topological order guarantees a
+	// package's imports are checked (Types non-nil) before the package itself.
 	for _, pkg := range parsed {
 		m.byPath[pkg.Path] = pkg
 	}
-	if jobs <= 1 {
-		for _, path := range order {
-			if err := m.check(parsed[path]); err != nil {
-				return nil, err
-			}
-		}
-	} else if err := m.checkParallel(parsed, order, jobs); err != nil {
-		return nil, err
-	}
 	for _, path := range order {
+		if err := m.check(parsed[path]); err != nil {
+			return nil, err
+		}
 		m.Packages = append(m.Packages, parsed[path])
 	}
 	return m, nil
-}
-
-// parseDirs parses every candidate directory, with jobs-wide parallelism
-// (token.FileSet is documented as safe for concurrent use).
-func (m *Module) parseDirs(dirs []string, jobs int) (map[string]*Package, error) {
-	parsed := make(map[string]*Package) // import path -> parsed, not yet checked
-	if jobs <= 1 {
-		for _, d := range dirs {
-			pkg, err := m.parseDir(d, m.importPathFor(d))
-			if err != nil {
-				return nil, err
-			}
-			if pkg != nil {
-				parsed[pkg.Path] = pkg
-			}
-		}
-		return parsed, nil
-	}
-	// Each goroutine writes only its own slice slot, so the fan-out needs no
-	// lock at all; the map is assembled serially afterwards.
-	results := make([]*Package, len(dirs))
-	errs := make([]error, len(dirs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, jobs)
-	for i, d := range dirs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, d string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = m.parseDir(d, m.importPathFor(d))
-		}(i, d)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, pkg := range results {
-		if pkg != nil {
-			parsed[pkg.Path] = pkg
-		}
-	}
-	return parsed, nil
-}
-
-// checkParallel type-checks the parsed packages with a worker pool driven by
-// the import DAG: a package becomes ready once all its module-internal
-// imports are checked. order is the full topological order (used only for
-// the dependency edges; completion order is nondeterministic and does not
-// matter, Packages is rebuilt from order afterwards).
-func (m *Module) checkParallel(parsed map[string]*Package, order []string, jobs int) error {
-	deps := moduleDeps(parsed)
-	dependents := make(map[string][]string, len(parsed))
-	waiting := make(map[string]int, len(parsed))
-	for path, ds := range deps {
-		waiting[path] = len(ds)
-		for _, d := range ds {
-			dependents[d] = append(dependents[d], path)
-		}
-	}
-	ready := make(chan string, len(parsed))
-	for _, path := range order {
-		if waiting[path] == 0 {
-			ready <- path
-		}
-	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-		done     int
-		closed   bool
-		wg       sync.WaitGroup
-	)
-	finish := func() { // callers hold mu
-		if !closed {
-			closed = true
-			close(ready)
-		}
-	}
-	if jobs > len(parsed) {
-		jobs = len(parsed)
-	}
-	for i := 0; i < jobs; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for path := range ready {
-				err := m.check(parsed[path])
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					finish() // stop scheduling; in-flight checks drain
-					mu.Unlock()
-					return
-				}
-				done++
-				for _, dep := range dependents[path] {
-					//lint:ignore goroutinesafety waiting is only ever written under mu (held here); the analyzer cannot see lock guards on captured maps
-					waiting[dep]--
-					if waiting[dep] == 0 && !closed {
-						//lint:ignore waitblock ready is buffered to len(parsed) with at most one send per package, so this send can never park while holding mu
-						ready <- dep
-					}
-				}
-				if done == len(parsed) {
-					finish()
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// moduleDeps maps each parsed package to its module-internal imports.
-func moduleDeps(parsed map[string]*Package) map[string][]string {
-	deps := make(map[string][]string, len(parsed))
-	for path, pkg := range parsed {
-		seen := make(map[string]bool)
-		for _, f := range pkg.Files {
-			for _, imp := range f.Imports {
-				ip := strings.Trim(imp.Path.Value, `"`)
-				if _, ok := parsed[ip]; ok && !seen[ip] {
-					seen[ip] = true
-					deps[path] = append(deps[path], ip)
-				}
-			}
-		}
-		sort.Strings(deps[path])
-	}
-	return deps
 }
 
 // Lookup returns the loaded package with the given import path, or nil.
@@ -434,10 +288,6 @@ func (mi *moduleImporter) Import(path string) (*types.Package, error) {
 	if strings.HasPrefix(path, mi.m.ModPath+"/") || path == mi.m.ModPath {
 		return nil, fmt.Errorf("lint: module package %s not loaded", path)
 	}
-	// The std importers cache mutable state and are not safe for the
-	// concurrent Check calls the parallel loader issues.
-	mi.m.stdMu.Lock()
-	defer mi.m.stdMu.Unlock()
 	tp, err := mi.m.std.Import(path)
 	if err == nil {
 		return tp, nil

@@ -17,9 +17,8 @@ import (
 // unlock to a defer is provably behavior-preserving; the copied-mutex case
 // carries a pointer-receiver fix.
 var LockDisciplineAnalyzer = &Analyzer{
-	Name:        "lockdiscipline",
-	Category:    "concurrency",
-	ModuleFacts: true,
+	Name:     "lockdiscipline",
+	Category: "concurrency",
 	Doc: "Lock() without a release on every path to return (with a hoist-to-defer " +
 		"fix when safe), double-lock of a mutex already held, Unlock() of a mutex " +
 		"not held on any path, defer Unlock inside a loop, mutex-bearing values " +

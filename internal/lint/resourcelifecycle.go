@@ -41,9 +41,8 @@ import (
 // operation (wg.Wait, channel receive/close, or calling a held CancelFunc) —
 // otherwise nothing can ever reclaim the goroutine.
 var ResourceLifecycleAnalyzer = &Analyzer{
-	Name:        "resourcelifecycle",
-	Category:    "lifecycle",
-	ModuleFacts: true,
+	Name:     "resourcelifecycle",
+	Category: "lifecycle",
 	Doc: "Tickers, timers, cancel funcs, files, response bodies, and atomic-write " +
 		"handles must be released on every path (defer-aware, interprocedural " +
 		"through module callees); Start-shaped methods spawning long-lived " +

@@ -19,9 +19,8 @@ import (
 // a module call — interprocedurally extending goroutinesafety's direct
 // check — because an Add racing its Wait makes Wait return early.
 var WaitBlockAnalyzer = &Analyzer{
-	Name:        "waitblock",
-	Category:    "concurrency",
-	ModuleFacts: true,
+	Name:     "waitblock",
+	Category: "concurrency",
 	Doc: "No blocking operation (wg.Wait, channel send/receive, select without " +
 		"default, range over a channel, or a call into a module function that may " +
 		"block) while holding a lock; no WaitGroup.Add inside the spawned " +

@@ -17,9 +17,7 @@ mkdir -p results
 # The 120s budget keeps the interprocedural pass (call graph + lock
 # dataflow, LINTING.md) from quietly making the pre-PR gate unusable; the
 # measured wall-clock lands in the SARIF run properties for CI to audit.
-# -cache .lintcache makes repeat local runs incremental (v4 engine): only
-# packages whose import cone changed since the last run are re-analyzed.
-go run ./cmd/wise-lint -budget 120s -cache .lintcache -jobs "$(nproc 2>/dev/null || echo 4)" -sarif results/lint.sarif ./...
+go run ./cmd/wise-lint -budget 120s -sarif results/lint.sarif ./...
 go build ./...
 # The end-to-end benchmark (wisebench/, BENCHMARK.json) is its own Go module,
 # so ./... above skips it; it builds against serve, session and kernels APIs,
