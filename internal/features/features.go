@@ -15,21 +15,26 @@ import (
 
 // GroupSizes are the adjacency group widths X used for GrX_uniq and
 // GrX_potReuse features (paper Section 4.2).
-var GroupSizes = []int{4, 8, 16, 32, 64}
+var GroupSizes = [...]int{4, 8, 16, 32, 64}
 
-// groupNames holds the per-group feature names, formatted once at package
-// init so Extract's loops stay allocation-free on the hot path.
-var groupNames = func() map[int][4]string {
-	m := make(map[int][4]string, len(GroupSizes))
-	for _, x := range GroupSizes {
-		m[x] = [4]string{
-			fmt.Sprintf("gr%d_uniqR", x),
-			fmt.Sprintf("gr%d_uniqC", x),
-			fmt.Sprintf("gr%d_potReuseR", x),
-			fmt.Sprintf("gr%d_potReuseC", x),
+// featureNames is the fixed feature layout, built once; Extract copies it
+// into each result.
+var featureNames = func() []string {
+	names := []string{"n_rows", "n_cols", "nnz"}
+	for _, dist := range []string{"R", "C", "T", "RB", "CB"} {
+		for _, stat := range []string{"mu", "sigma", "var", "gini", "p", "min", "max", "ne"} {
+			names = append(names, stat+"_"+dist)
 		}
 	}
-	return m
+	names = append(names, "uniqR", "uniqC")
+	for _, x := range GroupSizes {
+		names = append(names, fmt.Sprintf("gr%d_uniqR", x), fmt.Sprintf("gr%d_uniqC", x))
+	}
+	names = append(names, "potReuseR", "potReuseC")
+	for _, x := range GroupSizes {
+		names = append(names, fmt.Sprintf("gr%d_potReuseR", x), fmt.Sprintf("gr%d_potReuseC", x))
+	}
+	return names
 }()
 
 // Config controls feature extraction.
@@ -88,97 +93,71 @@ func Extract(m *matrix.CSR, cfg Config) Features {
 }
 
 // ExtractCtx is Extract with cancellation threaded through the row-scan
-// loops, for callers with deadlines (wise-serve requests, wise-predict
+// loop, for callers with deadlines (wise-serve requests, wise-predict
 // -timeout). On cancellation it returns ctx's error; the partial vector is
 // discarded.
 func ExtractCtx(ctx context.Context, m *matrix.CSR, cfg Config) (Features, error) {
 	if cfg.K < 1 {
 		cfg.K = 1
 	}
+	if err := ctx.Err(); err != nil {
+		return Features{}, fmt.Errorf("features: extract: %w", err)
+	}
+	t := newTiling(m.Rows, m.Cols, cfg.K)
+	l, err := scan(ctx, m, t)
+	if err != nil {
+		return Features{}, err
+	}
+
 	f := Features{
-		Names:  make([]string, 0, FeatureCount()),
-		Values: make([]float64, 0, FeatureCount()),
+		Names:  append([]string(nil), featureNames...),
+		Values: make([]float64, 0, len(featureNames)),
 	}
-	add := func(name string, v float64) {
-		f.Names = append(f.Names, name)
-		f.Values = append(f.Values, v)
-	}
-	addSummary := func(dist string, s stats.Summary) {
-		add("mu_"+dist, s.Mean)
-		add("sigma_"+dist, s.Std)
-		add("var_"+dist, s.Variance)
-		add("gini_"+dist, s.Gini)
-		add("p_"+dist, s.PRatio)
-		add("min_"+dist, s.Min)
-		add("max_"+dist, s.Max)
-		add("ne_"+dist, float64(s.NonEmpty))
+	add := func(v float64) { f.Values = append(f.Values, v) }
+	addSummary := func(counts []int64) {
+		s := stats.Summarize(counts)
+		add(s.Mean)
+		add(s.Std)
+		add(s.Variance)
+		add(s.Gini)
+		add(s.PRatio)
+		add(s.Min)
+		add(s.Max)
+		add(float64(s.NonEmpty))
 	}
 
 	// (1) Size properties.
 	nnz := int64(m.NNZ())
-	add("n_rows", float64(m.Rows))
-	add("n_cols", float64(m.Cols))
-	add("nnz", float64(nnz))
+	add(float64(m.Rows))
+	add(float64(m.Cols))
+	add(float64(nnz))
 
 	// (2) Skew: R and C distributions.
-	if err := ctx.Err(); err != nil {
-		return Features{}, fmt.Errorf("features: extract: %w", err)
-	}
-	rowCounts := m.RowCounts()
-	colCounts := m.ColCounts()
-	addSummary("R", stats.Summarize(rowCounts))
-	addSummary("C", stats.Summarize(colCounts))
+	addSummary(m.RowCounts())
+	addSummary(l.colCounts)
 
-	// (3) Locality: tiling and T/RB/CB distributions.
-	t := newTiling(m.Rows, m.Cols, cfg.K)
-	tileCounts := make([]int64, t.kr*t.kc)
-	rbCounts := make([]int64, t.kr)
-	cbCounts := make([]int64, t.kc)
-	for i := 0; i < m.Rows; i++ {
-		if i%ctxCheckRows == 0 && ctx.Err() != nil {
-			return Features{}, fmt.Errorf("features: extract: %w", ctx.Err())
-		}
-		tr := i / t.tileRows
-		cols, _ := m.Row(i)
-		rbCounts[tr] += int64(len(cols))
-		for _, c := range cols {
-			tc := int(c) / t.tileCols
-			tileCounts[tr*t.kc+tc]++
-			cbCounts[tc]++
-		}
-	}
-	addSummary("T", stats.Summarize(tileCounts))
-	addSummary("RB", stats.Summarize(rbCounts))
-	addSummary("CB", stats.Summarize(cbCounts))
-
-	// Tile-layout features: unique rows/cols and reuse potential.
-	rowSide, err := rowSideCounts(ctx, m, t)
-	if err != nil {
-		return Features{}, err
-	}
-	colSide, err := colSideCounts(ctx, m, t)
-	if err != nil {
-		return Features{}, err
-	}
+	// (3) Locality: T/RB/CB distributions over the tiling, then the
+	// tile-layout features: unique rows/cols and reuse potential.
+	addSummary(l.tileCounts)
+	addSummary(l.rbCounts)
+	addSummary(l.cbCounts)
 	denomNNZ := float64(nnz)
 	if nnz == 0 {
 		denomNNZ = 1
 	}
-	add("uniqR", float64(rowSide[1])/denomNNZ)
-	add("uniqC", float64(colSide[1])/denomNNZ)
-	for _, x := range GroupSizes {
-		names := groupNames[x]
-		add(names[0], float64(rowSide[x])/denomNNZ)
-		add(names[1], float64(colSide[x])/denomNNZ)
+	for g := range l.rowSide {
+		add(float64(l.rowSide[g]) / denomNNZ)
+		add(float64(l.colSide[g]) / denomNNZ)
 	}
-	add("potReuseR", float64(rowSide[1])/float64(maxInt(m.Rows, 1)))
-	add("potReuseC", float64(colSide[1])/float64(maxInt(m.Cols, 1)))
-	for _, x := range GroupSizes {
+	for g := range l.rowSide {
+		x := 1
+		if g > 0 {
+			x = GroupSizes[g-1]
+		}
 		nGroupsR := (m.Rows + x - 1) / x
 		nGroupsC := (m.Cols + x - 1) / x
-		names := groupNames[x]
-		add(names[2], float64(rowSide[x])/float64(maxInt(nGroupsR, 1)))
-		add(names[3], float64(colSide[x])/float64(maxInt(nGroupsC, 1)))
+		add(float64(l.rowSide[g]) / float64(maxInt(nGroupsR, 1)))
+		add(float64(l.colSide[g]) / float64(maxInt(nGroupsC, 1)))
 	}
 	return f, nil
 }
@@ -209,88 +188,100 @@ func newTiling(rows, cols, k int) tiling {
 	return tiling{tileRows: tr, tileCols: tc, kr: kr, kc: kc}
 }
 
-// rowSideCounts returns, for every group size X in {1} + GroupSizes, the
-// number of distinct (tile, row-group) pairs with at least one nonzero.
-// With X = 1 this is the sum over tiles of uniqR_i; for larger X it is the
-// sum of GrX_uniqR_i, and divided by the group count it equals the mean
-// GrX_potReuseR. The computation streams rows in ascending order, so the
-// "last row-group seen per tile" dedupe is exact.
-func rowSideCounts(ctx context.Context, m *matrix.CSR, t tiling) (map[int]int64, error) {
-	xs := append([]int{1}, GroupSizes...)
-	counts := make(map[int]int64, len(xs))
-	lastRow := make([]int64, t.kr*t.kc)
+// numGroups counts the group widths the row- and column-side counters
+// track: X = 1 at position 0, then GroupSizes.
+const numGroups = 1 + len(GroupSizes)
+
+// locality holds the per-nonzero counts of one pass over the matrix.
+type locality struct {
+	colCounts  []int64 // nonzeros per column
+	tileCounts []int64 // nonzeros per tile, row-major over the kr x kc grid
+	rbCounts   []int64 // nonzeros per tile row
+	cbCounts   []int64 // nonzeros per tile column
+
+	// rowSide[g] is the number of distinct (tile, row-group) pairs with at
+	// least one nonzero, for group width X = 1 at g = 0 and GroupSizes[g-1]
+	// after. With X = 1 it is the sum over tiles of uniqR_i; for larger X
+	// it is the sum of GrX_uniqR_i, and divided by the group count it
+	// equals the mean GrX_potReuseR. colSide mirrors it for column groups.
+	rowSide, colSide [numGroups]int64
+}
+
+// scan computes every per-nonzero count of the feature set in one pass over
+// the rows in ascending order, computing each nonzero's tile column once.
+//
+// Row side: rows arrive in order, so remembering the last row seen per tile
+// makes the "new row-group in this tile" test exact.
+//
+// Column side: columns are not globally sorted, so distinct pairs are
+// deduplicated per tile row with epoch stamps; the epoch advances at every
+// tile-row boundary. For X = 1 the tile column is a function of the column,
+// so a per-column stamp suffices; for larger X a group can straddle
+// tile-column boundaries, so the stamp is keyed by the exact
+// (group, tile column) pair.
+func scan(ctx context.Context, m *matrix.CSR, t tiling) (locality, error) {
+	l := locality{
+		colCounts:  make([]int64, m.Cols),
+		tileCounts: make([]int64, t.kr*t.kc),
+		rbCounts:   make([]int64, t.kr),
+		cbCounts:   make([]int64, t.kc),
+	}
+	lastRow := make([]int, t.kr*t.kc)
 	for i := range lastRow {
 		lastRow[i] = -1
 	}
+	colEpoch := make([]int32, m.Cols)
+	// pairEpoch holds one stamp block per group width, each with a slot
+	// for every (group, tile column) pair: block g starts at pairBase[g].
+	var pairBase [len(GroupSizes) + 1]int
+	for g, x := range GroupSizes {
+		pairBase[g+1] = pairBase[g] + ((m.Cols+x-1)/x+1)*t.kc
+	}
+	pairEpoch := make([]int32, pairBase[len(GroupSizes)])
+	epoch := int32(0)
 	for i := 0; i < m.Rows; i++ {
 		if i%ctxCheckRows == 0 && ctx.Err() != nil {
-			return nil, fmt.Errorf("features: extract: %w", ctx.Err())
+			return locality{}, fmt.Errorf("features: extract: %w", ctx.Err())
+		}
+		if i%t.tileRows == 0 {
+			epoch++
 		}
 		tr := i / t.tileRows
 		cols, _ := m.Row(i)
+		l.rbCounts[tr] += int64(len(cols))
+		tileRow := tr * t.kc
 		prevTC := -1
 		for _, c := range cols {
 			tc := int(c) / t.tileCols
-			if tc == prevTC {
-				continue // same tile as previous nonzero of this row
-			}
-			prevTC = tc
-			tile := tr*t.kc + tc
-			last := lastRow[tile]
-			for _, x := range xs {
-				if last < 0 || last/int64(x) != int64(i)/int64(x) {
-					counts[x]++
-				}
-			}
-			lastRow[tile] = int64(i)
-		}
-	}
-	return counts, nil
-}
-
-// colSideCounts mirrors rowSideCounts for columns: distinct (tile,
-// col-group) pairs. Columns are not globally sorted, so it processes one
-// tile row at a time with epoch-stamped dedupe. For X = 1 the tile column is
-// a function of the column, so a per-column epoch suffices; for larger X a
-// group can straddle tile-column boundaries, so the epoch array is keyed by
-// the exact (group, tileCol) pair.
-func colSideCounts(ctx context.Context, m *matrix.CSR, t tiling) (map[int]int64, error) {
-	counts := make(map[int]int64, 1+len(GroupSizes))
-	colEpoch := make([]int32, m.Cols)
-	pairEpochs := make([][]int32, len(GroupSizes))
-	for xi, x := range GroupSizes {
-		nGroups := (m.Cols+x-1)/x + 1
-		pairEpochs[xi] = make([]int32, nGroups*t.kc)
-	}
-	epoch := int32(0)
-	for trLo := 0; trLo < m.Rows; trLo += t.tileRows {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("features: extract: %w", ctx.Err())
-		}
-		epoch++
-		trHi := trLo + t.tileRows
-		if trHi > m.Rows {
-			trHi = m.Rows
-		}
-		for i := trLo; i < trHi; i++ {
-			cols, _ := m.Row(i)
-			for _, c := range cols {
-				tc := int(c) / t.tileCols
-				if colEpoch[c] != epoch {
-					colEpoch[c] = epoch
-					counts[1]++
-				}
-				for xi, x := range GroupSizes {
-					pair := (int(c)/x)*t.kc + tc
-					if pairEpochs[xi][pair] != epoch {
-						pairEpochs[xi][pair] = epoch
-						counts[x]++
+			tile := tileRow + tc
+			l.colCounts[c]++
+			l.tileCounts[tile]++
+			l.cbCounts[tc]++
+			if tc != prevTC { // first nonzero of this row in this tile
+				prevTC = tc
+				last := lastRow[tile]
+				l.rowSide[0]++ // X = 1: every (tile, row) pair is new here
+				for g, x := range GroupSizes {
+					if last < 0 || last/x != i/x {
+						l.rowSide[g+1]++
 					}
 				}
+				lastRow[tile] = i
+			}
+			if colEpoch[c] != epoch {
+				colEpoch[c] = epoch
+				l.colSide[0]++
+			}
+			for g, x := range GroupSizes {
+				pair := pairBase[g] + int(c)/x*t.kc + tc
+				if pairEpoch[pair] != epoch {
+					pairEpoch[pair] = epoch
+					l.colSide[g+1]++
+				}
 			}
 		}
 	}
-	return counts, nil
+	return l, nil
 }
 
 func maxInt(a, b int) int {

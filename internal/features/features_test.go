@@ -148,21 +148,17 @@ func TestUniqCountsMatchBruteForce(t *testing.T) {
 	for mi, m := range mats {
 		for _, k := range []int{4, 16, 64} {
 			tl := newTiling(m.Rows, m.Cols, k)
-			rowSide, err := rowSideCounts(context.Background(), m, tl)
+			l, err := scan(context.Background(), m, tl)
 			if err != nil {
 				t.Fatal(err)
 			}
-			colSide, err := colSideCounts(context.Background(), m, tl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, x := range append([]int{1}, GroupSizes...) {
+			for g, x := range append([]int{1}, GroupSizes[:]...) {
 				wantR, wantC := bruteForceCounts(m, tl, x)
-				if rowSide[x] != wantR {
-					t.Errorf("matrix %d K=%d X=%d: rowSide %d, want %d", mi, k, x, rowSide[x], wantR)
+				if l.rowSide[g] != wantR {
+					t.Errorf("matrix %d K=%d X=%d: rowSide %d, want %d", mi, k, x, l.rowSide[g], wantR)
 				}
-				if colSide[x] != wantC {
-					t.Errorf("matrix %d K=%d X=%d: colSide %d, want %d", mi, k, x, colSide[x], wantC)
+				if l.colSide[g] != wantC {
+					t.Errorf("matrix %d K=%d X=%d: colSide %d, want %d", mi, k, x, l.colSide[g], wantC)
 				}
 			}
 		}

@@ -1,21 +1,13 @@
 package matrix
 
-import "sort"
-
 // Dedup sorts the COO entries by (row, col) and merges duplicates by summing
-// their values. Entries that sum to exactly zero are kept (explicit zeros are
-// legal nonzero slots in sparse formats).
+// their values in input order. Entries that sum to exactly zero are kept
+// (explicit zeros are legal nonzero slots in sparse formats).
 func (c *COO) Dedup() {
 	if len(c.Entries) == 0 {
 		return
 	}
-	sort.Slice(c.Entries, func(i, j int) bool {
-		a, b := c.Entries[i], c.Entries[j]
-		if a.Row != b.Row {
-			return a.Row < b.Row
-		}
-		return a.Col < b.Col
-	})
+	c.sortEntries()
 	out := c.Entries[:1]
 	for _, e := range c.Entries[1:] {
 		last := &out[len(out)-1]
@@ -26,6 +18,38 @@ func (c *COO) Dedup() {
 		}
 	}
 	c.Entries = out
+}
+
+// sortEntries orders the entries by (row, col) with two stable counting
+// sorts, by column and then by row, in O(nnz + rows + cols). Stability keeps
+// duplicate coordinates in input order.
+func (c *COO) sortEntries() {
+	tmp := make([]Entry, len(c.Entries))
+	next := make([]int, max(c.Rows, c.Cols)+1)
+	for _, e := range c.Entries {
+		next[e.Col+1]++
+	}
+	prefixSum(next[:c.Cols+1])
+	for _, e := range c.Entries {
+		tmp[next[e.Col]] = e
+		next[e.Col]++
+	}
+	clear(next)
+	for _, e := range tmp {
+		next[e.Row+1]++
+	}
+	prefixSum(next[:c.Rows+1])
+	for _, e := range tmp {
+		c.Entries[next[e.Row]] = e
+		next[e.Row]++
+	}
+}
+
+// prefixSum turns per-key counts shifted by one slot into bucket offsets.
+func prefixSum(a []int) {
+	for i := 1; i < len(a); i++ {
+		a[i] += a[i-1]
+	}
 }
 
 // ToCSR converts the COO matrix to CSR. Entries are deduplicated (duplicate

@@ -2,9 +2,15 @@ package matrix
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
+	"unicode"
+	"unicode/utf8"
 )
 
 // fuzzSeeds is the seed corpus for the MatrixMarket parser: valid files in
@@ -166,4 +172,119 @@ func TestReadLimits(t *testing.T) {
 	if _, err := ReadMatrixMarket(strings.NewReader(rect)); err == nil {
 		t.Fatal("rectangular symmetric matrix must be rejected, not mirrored out of range")
 	}
+}
+
+// diffSeeds are bodies aimed at the conversion the two readers of
+// FuzzReadMatrixMarketDiff implement differently: shuffled entry order,
+// coordinates repeated three or more times, a hub row, and the
+// column-major order SuiteSparse files use.
+func diffSeeds() []string {
+	rng := rand.New(rand.NewSource(23))
+	const n = 64
+	header := "%%MatrixMarket matrix coordinate real general\n"
+	body := func(lines []string) string {
+		return fmt.Sprintf("%s%d %d %d\n%s", header, n, n, len(lines), strings.Join(lines, ""))
+	}
+	var shuffled, dups, hub, colMajor []string
+	for k := 0; k < 200; k++ {
+		shuffled = append(shuffled, fmt.Sprintf("%d %d %.17g\n", 1+rng.Intn(n), 1+rng.Intn(n), rng.NormFloat64()))
+	}
+	for k := 0; k < 40; k++ {
+		i, j := 1+rng.Intn(n), 1+rng.Intn(n)
+		for c := 0; c < 3+rng.Intn(3); c++ {
+			dups = append(dups, fmt.Sprintf("%d %d %.17g\n", i, j, rng.NormFloat64()*1e8))
+		}
+	}
+	rng.Shuffle(len(dups), func(a, b int) { dups[a], dups[b] = dups[b], dups[a] })
+	for j := n; j >= 1; j-- {
+		hub = append(hub, fmt.Sprintf("7 %d %d\n", j, j))
+	}
+	for j := 1; j <= n; j++ {
+		for i := 1; i <= n; i += 1 + rng.Intn(9) {
+			colMajor = append(colMajor, fmt.Sprintf("%d %d %d\n", i, j, i*j))
+		}
+	}
+	return []string{
+		body(shuffled),
+		body(dups),
+		body(append(hub, shuffled[:50]...)),
+		body(colMajor),
+		strings.Replace(body(colMajor), "general", "symmetric", 1),
+		strings.Replace(body(dups), "real general", "pattern general", 1),
+		// Signs the bit-level comparison sees: negated NaN and -0 mirrors.
+		"%%MatrixMarket matrix coordinate real skew-symmetric\n3 3 3\n2 1 nan\n3 1 -0\n3 2 0\n",
+	}
+}
+
+// plainDecimal is the integer grammar fmt.Sscan and the reader agree on:
+// no base prefix, no leading zero, no digit separator.
+var plainDecimal = regexp.MustCompile(`^[+-]?(0|[1-9][0-9]*)$`)
+
+// divergent reports whether data takes one of the reader's two documented
+// departures from readReference: non-ASCII Unicode whitespace, which no
+// longer separates fields, or a size line that is not three plain decimal
+// integers, which fmt.Sscan read in other bases, in part, or run together
+// ("0080" scans as the two integers 0 and 80).
+func divergent(data []byte) bool {
+	for s := string(data); s != ""; {
+		r, size := utf8.DecodeRuneInString(s)
+		if r > unicode.MaxASCII && unicode.IsSpace(r) {
+			return true
+		}
+		s = s[size:]
+	}
+	lines := strings.Split(string(data), "\n")
+	for _, line := range lines[1:] {
+		line = strings.TrimSpace(line)
+		if line == "" || line[0] == '%' {
+			continue
+		}
+		f := strings.Fields(line)
+		for _, x := range f[:min(len(f), 3)] {
+			if !plainDecimal.MatchString(x) {
+				return true
+			}
+		}
+		return false
+	}
+	return false
+}
+
+// sameCSR reports whether a and b match in structure and, bit for bit, in
+// values, so NaN entries compare equal to themselves.
+func sameCSR(a, b *CSR) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols || !slices.Equal(a.RowPtr, b.RowPtr) || !slices.Equal(a.ColIdx, b.ColIdx) {
+		return false
+	}
+	return slices.EqualFunc(a.Vals, b.Vals, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	})
+}
+
+// FuzzReadMatrixMarketDiff checks the reader against readReference, the
+// strings.Fields/sort.Slice reader it replaced: both accept or both reject
+// every input, and accepted inputs yield the same CSR.
+func FuzzReadMatrixMarketDiff(f *testing.F) {
+	for _, s := range fuzzSeeds {
+		f.Add([]byte(s))
+	}
+	for _, s := range diffSeeds() {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<18 {
+			t.Skip("oversized input")
+		}
+		if divergent(data) {
+			t.Skip("documented divergence from the reference reader")
+		}
+		got, err := ReadMatrixMarketLimited(bytes.NewReader(data), fuzzLimits)
+		want, refErr := readReference(bytes.NewReader(data), fuzzLimits)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("reader err = %v, reference err = %v", err, refErr)
+		}
+		if err == nil && !sameCSR(got, want) {
+			t.Fatalf("reader and reference disagree: %v vs %v", got, want)
+		}
+	})
 }

@@ -260,3 +260,44 @@ func TestScale(t *testing.T) {
 		t.Error("Scale mutated original")
 	}
 }
+
+// TestToCSRCountingSort checks the counting-sort conversion against the
+// sort.Slice reference on shuffled entries with duplicates and a 1k-nnz hub
+// row, and pins that duplicates are summed in input order.
+func TestToCSRCountingSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	const rows, cols = 300, 1500
+	c := NewCOO(rows, cols)
+	for j := 0; j < 1000; j++ {
+		c.Add(17, int32(j), rng.NormFloat64())
+	}
+	for k := 0; k < 3000; k++ {
+		c.Add(int32(rng.Intn(rows)), int32(rng.Intn(cols)), rng.NormFloat64()*1e6)
+	}
+	for k := 0; k < 50; k++ {
+		i, j := int32(rng.Intn(rows)), int32(rng.Intn(cols))
+		for d := 0; d < 3+rng.Intn(4); d++ {
+			c.Add(i, j, rng.NormFloat64()*1e12)
+		}
+	}
+	// (1e16 + 1) - 1e16 is 0 in float64; any other order sums to 1.
+	c.Add(5, 5, 1e16)
+	c.Add(5, 5, 1)
+	c.Add(5, 5, -1e16)
+	rng.Shuffle(len(c.Entries)-3, func(a, b int) { c.Entries[a], c.Entries[b] = c.Entries[b], c.Entries[a] })
+
+	want := referenceToCSR(&COO{Rows: rows, Cols: cols, Entries: append([]Entry(nil), c.Entries...)})
+	got := c.ToCSR()
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !sameCSR(got, want) {
+		t.Fatal("counting-sort ToCSR differs from the sort.Slice reference")
+	}
+	if v := got.ToDense()[5*cols+5]; v != 0 {
+		t.Fatalf("(5,5) = %v, want 0: duplicates not summed in input order", v)
+	}
+	if got.RowNNZ(17) < 1000 {
+		t.Fatalf("hub row holds %d nonzeros, want >= 1000", got.RowNNZ(17))
+	}
+}

@@ -55,9 +55,25 @@ func DefaultReadLimits() ReadLimits {
 // before any entry has been read — a tiny header must not reserve gigabytes.
 const maxEntryPrealloc = 1 << 16
 
+// readBufSize is the reader's buffer: lines that fit are parsed in place.
+// maxLineLen caps a line (terminator excluded); longer lines fail with
+// bufio.ErrTooLong, so one hostile line cannot grow the reader unbounded.
+const (
+	readBufSize = 64 << 10
+	maxLineLen  = 1 << 20
+)
+
 // ReadMatrixMarket parses a MatrixMarket coordinate file into CSR form.
 // Symmetric and skew-symmetric matrices are expanded; pattern matrices get
 // value 1 for every entry.
+//
+// The accepted grammar: fields are separated by ASCII whitespace (space,
+// \t, \v, \f, \r); non-ASCII Unicode spaces such as U+00A0 or U+0085 are
+// field bytes, not separators, since the format is ASCII. The size line and
+// the entry indices are decimal integers (an optional sign and digits, no
+// base prefixes or underscores); values are anything strconv.ParseFloat
+// accepts. A line may hold at most 1 MiB; a longer one fails with
+// bufio.ErrTooLong. Lines past the declared entry count are not read.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	return ReadMatrixMarketLimited(r, DefaultReadLimits())
 }
@@ -65,21 +81,32 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 // ReadMatrixMarketLimited is ReadMatrixMarket with explicit header limits,
 // for parsing untrusted input with bounded memory.
 func ReadMatrixMarketLimited(r io.Reader, lim ReadLimits) (*CSR, error) {
-	br := bufio.NewScanner(r)
-	br.Buffer(make([]byte, 1<<20), 1<<20)
-	if !br.Scan() {
+	lr := lineReader{br: bufio.NewReaderSize(r, readBufSize)}
+	first, ok := lr.next()
+	if !ok {
+		if lr.err != nil {
+			return nil, lr.err
+		}
 		return nil, fmt.Errorf("matrix: empty MatrixMarket stream")
 	}
-	header := strings.Fields(strings.ToLower(br.Text()))
-	if len(header) < 4 || header[0] != "%%matrixmarket" || header[1] != "matrix" {
-		return nil, fmt.Errorf("matrix: bad MatrixMarket header %q", br.Text())
+	var header [5]string
+	nh := 0
+	for rest := []byte(strings.ToLower(string(first))); nh < len(header); nh++ {
+		var f []byte
+		if f, rest = nextField(rest); len(f) == 0 {
+			break
+		}
+		header[nh] = string(f)
+	}
+	if nh < 4 || header[0] != "%%matrixmarket" || header[1] != "matrix" {
+		return nil, fmt.Errorf("matrix: bad MatrixMarket header %q", first)
 	}
 	if header[2] != "coordinate" {
 		return nil, fmt.Errorf("matrix: only coordinate format supported, got %q", header[2])
 	}
 	valueType := header[3]
 	symmetry := "general"
-	if len(header) >= 5 {
+	if nh >= 5 {
 		symmetry = header[4]
 	}
 	switch valueType {
@@ -94,20 +121,31 @@ func ReadMatrixMarketLimited(r io.Reader, lim ReadLimits) (*CSR, error) {
 	}
 
 	// Skip comments, read the size line.
-	var rows, cols, nnz int
+	var size [3]int
 	for {
-		if !br.Scan() {
+		line, ok := lr.dataLine()
+		if !ok {
+			if lr.err != nil {
+				return nil, lr.err
+			}
 			return nil, fmt.Errorf("matrix: missing size line")
 		}
-		line := strings.TrimSpace(br.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
-			continue
-		}
-		if _, err := fmt.Sscan(line, &rows, &cols, &nnz); err != nil {
-			return nil, fmt.Errorf("matrix: bad size line %q: %w", line, err)
+		rest := line
+		for k := range size {
+			var f []byte
+			f, rest = nextField(rest)
+			if len(f) == 0 {
+				return nil, fmt.Errorf("matrix: bad size line %q: %w", line, io.ErrUnexpectedEOF)
+			}
+			n, err := atoi(f)
+			if err != nil {
+				return nil, fmt.Errorf("matrix: bad size line %q: %w", line, err)
+			}
+			size[k] = n
 		}
 		break
 	}
+	rows, cols, nnz := size[0], size[1], size[2]
 	if rows < 0 || cols < 0 || nnz < 0 {
 		return nil, ErrDimension
 	}
@@ -128,60 +166,179 @@ func ReadMatrixMarketLimited(r io.Reader, lim ReadLimits) (*CSR, error) {
 		return nil, fmt.Errorf("%w: %s matrix must be square, got %dx%d",
 			ErrDimension, symmetry, rows, cols)
 	}
+	pattern := valueType == "pattern"
+	mirror, skew := symmetry != "general", symmetry == "skew-symmetric"
 
 	coo := NewCOO(rows, cols)
 	coo.Entries = make([]Entry, 0, min(nnz, maxEntryPrealloc))
 	read := 0
-	for read < nnz && br.Scan() {
-		line := strings.TrimSpace(br.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
-			continue
+	for read < nnz {
+		line, ok := lr.dataLine()
+		if !ok {
+			break
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
+		fi, rest := nextField(line)
+		fj, rest := nextField(rest)
+		if len(fj) == 0 {
 			return nil, fmt.Errorf("matrix: bad entry line %q", line)
 		}
-		i, err := strconv.Atoi(fields[0])
+		i, err := atoi(fi)
 		if err != nil {
-			return nil, fmt.Errorf("matrix: bad row index %q: %w", fields[0], err)
+			return nil, fmt.Errorf("matrix: bad row index %q: %w", fi, err)
 		}
-		j, err := strconv.Atoi(fields[1])
+		j, err := atoi(fj)
 		if err != nil {
-			return nil, fmt.Errorf("matrix: bad col index %q: %w", fields[1], err)
+			return nil, fmt.Errorf("matrix: bad col index %q: %w", fj, err)
 		}
 		val := 1.0
-		if valueType != "pattern" {
-			if len(fields) < 3 {
+		if !pattern {
+			fv, _ := nextField(rest)
+			if len(fv) == 0 {
 				return nil, fmt.Errorf("matrix: missing value in %q", line)
 			}
-			val, err = strconv.ParseFloat(fields[2], 64)
+			// string(fv) does not escape ParseFloat, so the conversion
+			// uses a stack buffer instead of allocating.
+			val, err = strconv.ParseFloat(string(fv), 64)
 			if err != nil {
-				return nil, fmt.Errorf("matrix: bad value %q: %w", fields[2], err)
+				return nil, fmt.Errorf("matrix: bad value %q: %w", fv, err)
 			}
 		}
 		if i < 1 || i > rows || j < 1 || j > cols {
 			return nil, fmt.Errorf("%w: entry (%d,%d) outside %dx%d", ErrIndexRange, i, j, rows, cols)
 		}
 		coo.Add(int32(i-1), int32(j-1), val)
-		switch symmetry {
-		case "symmetric":
-			if i != j {
-				coo.Add(int32(j-1), int32(i-1), val)
+		if mirror && i != j {
+			if skew {
+				val = -val
 			}
-		case "skew-symmetric":
-			if i != j {
-				coo.Add(int32(j-1), int32(i-1), -val)
-			}
+			coo.Add(int32(j-1), int32(i-1), val)
 		}
 		read++
 	}
-	if err := br.Err(); err != nil {
-		return nil, err
+	if lr.err != nil {
+		return nil, lr.err
 	}
 	if read != nnz {
 		return nil, fmt.Errorf("matrix: expected %d entries, got %d", nnz, read)
 	}
 	return coo.ToCSR(), nil
+}
+
+// lineReader yields the lines of a stream as slices of its buffer, valid
+// until the next call. Only a line longer than the buffer is copied, into
+// long, which is reused across such lines.
+type lineReader struct {
+	br   *bufio.Reader
+	long []byte
+	err  error // first read error other than io.EOF
+}
+
+// next returns the next line without its "\n" terminator. At the end of the
+// stream or on a read error it returns false, recording the error in err.
+func (lr *lineReader) next() ([]byte, bool) {
+	line, err := lr.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		lr.long = append(lr.long[:0], line...)
+		for err == bufio.ErrBufferFull && len(lr.long) <= maxLineLen {
+			line, err = lr.br.ReadSlice('\n')
+			lr.long = append(lr.long, line...)
+		}
+		line = lr.long
+	}
+	if n := len(line); n > 0 && line[n-1] == '\n' {
+		line = line[:n-1]
+	}
+	switch {
+	case len(line) >= maxLineLen:
+		lr.err = bufio.ErrTooLong
+		return nil, false
+	case err == io.EOF:
+		return line, len(line) > 0
+	case err != nil:
+		lr.err = err
+		return nil, false
+	}
+	return line, true
+}
+
+// dataLine returns the next line that is neither blank nor a comment, with
+// surrounding ASCII whitespace trimmed.
+func (lr *lineReader) dataLine() ([]byte, bool) {
+	for {
+		line, ok := lr.next()
+		if !ok {
+			return nil, false
+		}
+		line = trimSpace(line)
+		if len(line) > 0 && line[0] != '%' {
+			return line, true
+		}
+	}
+}
+
+// asciiSpace marks the ASCII whitespace bytes that separate fields.
+var asciiSpace = [256]bool{' ': true, '\t': true, '\n': true, '\v': true, '\f': true, '\r': true}
+
+func isSpace(c byte) bool { return asciiSpace[c] }
+
+func trimSpace(b []byte) []byte {
+	for len(b) > 0 && isSpace(b[0]) {
+		b = b[1:]
+	}
+	for len(b) > 0 && isSpace(b[len(b)-1]) {
+		b = b[:len(b)-1]
+	}
+	return b
+}
+
+// nextField splits the first whitespace-separated field off b. The field is
+// empty when b holds no more fields.
+func nextField(b []byte) (field, rest []byte) {
+	i := 0
+	for i < len(b) && isSpace(b[i]) {
+		i++
+	}
+	j := i
+	for j < len(b) && !isSpace(b[j]) {
+		j++
+	}
+	return b[i:j], b[j:]
+}
+
+// atoi parses a decimal integer: an optional sign and one or more digits,
+// the grammar strconv.Atoi accepts, without converting b to a string. It
+// fails with strconv.ErrSyntax on any other input and with strconv.ErrRange
+// when the value does not fit an int.
+func atoi(b []byte) (int, error) {
+	s := b
+	neg := false
+	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
+		neg = s[0] == '-'
+		s = s[1:]
+	}
+	if len(s) == 0 {
+		return 0, &strconv.NumError{Func: "Atoi", Num: string(b), Err: strconv.ErrSyntax}
+	}
+	limit := uint64(math.MaxInt)
+	if neg {
+		limit++
+	}
+	var mag uint64
+	for k, c := range s {
+		d := uint64(c - '0')
+		if d > 9 {
+			return 0, &strconv.NumError{Func: "Atoi", Num: string(b), Err: strconv.ErrSyntax}
+		}
+		// Eighteen digits cannot overflow; only longer numbers pay the check.
+		if k >= 18 && mag > (limit-d)/10 {
+			return 0, &strconv.NumError{Func: "Atoi", Num: string(b), Err: strconv.ErrRange}
+		}
+		mag = mag*10 + d
+	}
+	if neg {
+		return int(-mag), nil
+	}
+	return int(mag), nil
 }
 
 // WriteFile writes the matrix to path in MatrixMarket format, atomically:

@@ -1,7 +1,9 @@
 package matrix
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -102,6 +104,8 @@ func TestReadErrors(t *testing.T) {
 		"bad value":    "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 xyz\n",
 		"bad index":    "%%MatrixMarket matrix coordinate real general\n2 2 1\nx 1 1.0\n",
 		"no value":     "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n",
+		"hex size":     "%%MatrixMarket matrix coordinate real general\n0x2 0b10 1\n1 1 1.0\n",
+		"digit sep":    "%%MatrixMarket matrix coordinate real general\n1_0 2 1\n1 1 1.0\n",
 	}
 	for name, src := range cases {
 		if _, err := ReadMatrixMarket(strings.NewReader(src)); err == nil {
@@ -127,5 +131,51 @@ func TestReadSkipsCommentsAndBlanks(t *testing.T) {
 	}
 	if m.NNZ() != 2 {
 		t.Fatalf("nnz = %d", m.NNZ())
+	}
+}
+
+// mtxBody renders m as MatrixMarket text with its entry lines shuffled, so
+// the reader's conversion has to sort.
+func mtxBody(t testing.TB, rng *rand.Rand, m *CSR) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteMatrixMarket(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(buf.String(), "\n")
+	entries := lines[2 : len(lines)-1]
+	rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+	return []byte(strings.Join(lines, ""))
+}
+
+// TestReadMatrixMarketAllocs pins the reader's allocations per parse to a
+// constant: doubling nnz must not add any, and neither may a line.
+func TestReadMatrixMarketAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, n := range []int{1 << 11, 1 << 12} {
+		body := mtxBody(t, rng, randomCSR(t, rng, n, n, 8/float64(n)))
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := ReadMatrixMarket(bytes.NewReader(body)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 64 {
+			t.Errorf("%d rows, %d bytes: %.0f allocs/op, want <= 64", n, len(body), allocs)
+		}
+	}
+}
+
+// TestReadLongLines pins the 1 MiB line cap: a line longer than the read
+// buffer still parses, one past the cap fails with bufio.ErrTooLong.
+func TestReadLongLines(t *testing.T) {
+	head := "%%MatrixMarket matrix coordinate real general\n2 2 1\n"
+	pad := strings.Repeat(" ", 200<<10)
+	m, err := ReadMatrixMarket(strings.NewReader(head + "% " + pad + "\n2 1" + pad + "7\n"))
+	if err != nil || m.NNZ() != 1 || m.Vals[0] != 7 {
+		t.Fatalf("padded lines: %v, %v", m, err)
+	}
+	long := head + "%" + strings.Repeat("x", 1<<20) + "\n1 1 1\n"
+	if _, err := ReadMatrixMarket(strings.NewReader(long)); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line past 1 MiB: err = %v, want bufio.ErrTooLong", err)
 	}
 }

@@ -10,6 +10,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -40,19 +41,10 @@ func Summarize(counts []int64) Summary {
 	}
 	var (
 		sum      float64
-		min      = float64(counts[0])
-		max      = float64(counts[0])
 		nonEmpty int
 	)
 	for _, c := range counts {
-		v := float64(c)
-		sum += v
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
+		sum += float64(c)
 		if c != 0 {
 			nonEmpty++
 		}
@@ -65,16 +57,24 @@ func Summarize(counts []int64) Summary {
 		ss += d * d
 	}
 	variance := ss / n
+	sorted := sortedCopy(counts)
 	return Summary{
 		Mean:     mean,
 		Std:      math.Sqrt(variance),
 		Variance: variance,
-		Min:      min,
-		Max:      max,
-		Gini:     Gini(counts),
-		PRatio:   PRatio(counts),
+		Min:      float64(sorted[0]),
+		Max:      float64(sorted[len(sorted)-1]),
+		Gini:     giniSorted(sorted),
+		PRatio:   pRatioSorted(sorted),
 		NonEmpty: nonEmpty,
 	}
+}
+
+// sortedCopy returns counts sorted ascending, leaving counts unmodified.
+func sortedCopy(counts []int64) []int64 {
+	sorted := slices.Clone(counts)
+	slices.Sort(sorted)
+	return sorted
 }
 
 // Gini computes the Gini coefficient of a non-negative distribution.
@@ -82,13 +82,15 @@ func Summarize(counts []int64) Summary {
 // concentrated in a single bucket. Distributions with zero total mass or a
 // single bucket are balanced by definition (Gini 0).
 func Gini(counts []int64) float64 {
-	n := len(counts)
+	return giniSorted(sortedCopy(counts))
+}
+
+// giniSorted is Gini over counts already sorted ascending.
+func giniSorted(sorted []int64) float64 {
+	n := len(sorted)
 	if n <= 1 {
 		return 0
 	}
-	sorted := make([]int64, n)
-	copy(sorted, counts)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	var total, weighted float64
 	for i, c := range sorted {
 		v := float64(c)
@@ -113,20 +115,23 @@ func Gini(counts []int64) float64 {
 // complement; a perfectly balanced distribution has p = 0.5, and a
 // maximally-imbalanced one approaches 0 (one bucket holds everything).
 //
-// Concretely we sort buckets in descending order and find, by linear
+// Concretely we walk buckets in descending order and find, by linear
 // interpolation along the cumulative-mass curve, the crossing point where
 // cumulativeShare(topFraction = p) = 1 - p.
 func PRatio(counts []int64) float64 {
-	n := len(counts)
+	return pRatioSorted(sortedCopy(counts))
+}
+
+// pRatioSorted is PRatio over counts already sorted ascending; it walks
+// them from the top.
+func pRatioSorted(sorted []int64) float64 {
+	n := len(sorted)
 	if n == 0 {
 		return 0.5
 	}
-	sorted := make([]int64, n)
-	copy(sorted, counts)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
 	var total float64
-	for _, c := range sorted {
-		total += float64(c)
+	for i := n - 1; i >= 0; i-- {
+		total += float64(sorted[i])
 	}
 	if total == 0 { //lint:ignore floateq sum of non-negative integer counts is 0 only when all are 0
 		return 0.5
@@ -134,8 +139,8 @@ func PRatio(counts []int64) float64 {
 	nf := float64(n)
 	var cum float64
 	prevFrac, prevShare := 0.0, 0.0
-	for i, c := range sorted {
-		cum += float64(c)
+	for i := 0; i < n; i++ {
+		cum += float64(sorted[n-1-i])
 		frac := float64(i+1) / nf
 		share := cum / total
 		// Find where share >= 1 - frac, i.e. f(frac) = share + frac - 1 >= 0.
