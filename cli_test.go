@@ -251,12 +251,6 @@ func TestCLIExitCodes(t *testing.T) {
 		{"serve stray arg", "wise-serve", []string{"stray"}, nil, 2, "usage"},
 		{"serve missing models", "wise-serve", []string{"-models", filepath.Join(tmp, "nope.json")}, nil, 1, "-models"},
 		{"serve session bytes", "wise-serve", []string{"-session-bytes", "-1"}, nil, 2, "-session-bytes"},
-		{"serve shadow rate range", "wise-serve", []string{"-shadow-rate", "1.5"}, nil, 2, "-shadow-rate"},
-		{"serve shadow workers", "wise-serve", []string{"-shadow-workers", "0"}, nil, 2, "-shadow-workers"},
-		{"serve drift window", "wise-serve", []string{"-drift-window", "-1"}, nil, 2, "-drift-window"},
-		{"serve drift min over window", "wise-serve", []string{"-drift-window", "8", "-drift-min", "9"}, nil, 2, "-drift-min"},
-		{"serve drift trip range", "wise-serve", []string{"-drift-trip", "0"}, nil, 2, "-drift-trip"},
-		{"serve registry missing models", "wise-serve", []string{"-registry", filepath.Join(tmp, "reg"), "-models", filepath.Join(tmp, "nope.json")}, nil, 1, "-registry"},
 		{"suite unknown preset", "wise-bench", []string{"-suite", "XL"}, nil, 2, "-suite"},
 		{"compare one file", "wise-bench", []string{"-compare", filepath.Join(tmp, "only.json")}, nil, 2, "-compare"},
 		{"compare missing file", "wise-bench", []string{"-compare", filepath.Join(tmp, "nope1.json"), filepath.Join(tmp, "nope2.json")}, nil, 1, "nope1.json"},

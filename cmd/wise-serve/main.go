@@ -5,7 +5,9 @@
 // predictor errors or overruns the request deadline, trips a circuit
 // breaker under repeated predictor failures, and hot-reloads the model
 // file on SIGHUP or change (mtime, size, or envelope checksum) with
-// rollback on a corrupt file.
+// rollback on a corrupt file. The sha256 of the loaded models is the
+// serving generation's ID, so a reload that changes the models re-selects
+// every prepared session (below) on its next request.
 //
 //	wise-serve -models models.json -addr 127.0.0.1:8080
 //	curl -sS --data-binary @matrix.mtx http://127.0.0.1:8080/predict
@@ -24,17 +26,6 @@
 // after a restart (corrupt files are quarantined, never served). When the
 // budget is saturated the server answers statelessly, marked degraded —
 // never a refusal.
-//
-// With -registry the model lives in a crash-safe generation registry
-// (internal/registry), and -shadow-rate enables the self-healing loop
-// (RESILIENCE.md "Self-healing serving"): sampled requests are re-executed
-// off the request path against the CSR baseline, a drift detector watches
-// the prediction-mismatch rate (-drift-window, -drift-min, -drift-trip),
-// and a drift trip retrains over the accumulated shadow labels, promotes
-// the candidate through a canary gate, and auto-rolls-back a promoted
-// generation that regresses during probation:
-//
-//	wise-serve -models models.json -registry /var/lib/wise -shadow-rate 0.1
 //
 // /healthz, /readyz, and /metricz expose liveness, readiness, and the obs
 // metric snapshot. The shared observability flags (-v, -metrics,
@@ -95,13 +86,6 @@ func run() int {
 
 		sessionBytes = flag.Int64("session-bytes", 256<<20, "prepared-session cache budget in bytes; least-recently-used sessions are evicted past it")
 		sessionSpill = flag.String("session-spill", "", "session spill directory; prepared sessions survive restarts via checksummed envelopes (empty = in-memory only)")
-
-		registryDir = flag.String("registry", "", "model registry directory; enables crash-safe generations with canary-gated promotion (empty = serve -models directly)")
-		shadowRate  = flag.Float64("shadow-rate", 0, "fraction of requests shadow-measured against the CSR baseline, 0..1 (0 disables the self-healing loop)")
-		shadowWork  = flag.Int("shadow-workers", 1, "shadow measurement worker goroutines")
-		driftWindow = flag.Int("drift-window", 64, "shadow samples in the drift-detection window")
-		driftMin    = flag.Int("drift-min", 16, "minimum shadow samples before drift may trip")
-		driftTrip   = flag.Float64("drift-trip", 0.5, "prediction-mismatch rate that trips drift and triggers retrain, (0,1]")
 	)
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -113,26 +97,10 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "wise-serve: %v\n", err)
 		return exitUsage
 	}
-	// Feedback-loop flags are validated before any IO: a nonsensical rate or
-	// threshold is a usage error (exit 2) naming the flag, per RESILIENCE.md.
-	switch {
-	case *sessionBytes <= 0:
+	// Flags are validated before any IO: a nonsensical budget is a usage
+	// error (exit 2) naming the flag, per RESILIENCE.md.
+	if *sessionBytes <= 0 {
 		fmt.Fprintf(os.Stderr, "wise-serve: -session-bytes %d must be positive\n", *sessionBytes)
-		return exitUsage
-	case *shadowRate < 0 || *shadowRate > 1:
-		fmt.Fprintf(os.Stderr, "wise-serve: -shadow-rate %v out of range [0, 1]\n", *shadowRate)
-		return exitUsage
-	case *shadowWork <= 0:
-		fmt.Fprintf(os.Stderr, "wise-serve: -shadow-workers %d must be positive\n", *shadowWork)
-		return exitUsage
-	case *driftWindow <= 0:
-		fmt.Fprintf(os.Stderr, "wise-serve: -drift-window %d must be positive\n", *driftWindow)
-		return exitUsage
-	case *driftMin <= 0 || *driftMin > *driftWindow:
-		fmt.Fprintf(os.Stderr, "wise-serve: -drift-min %d must be in 1..-drift-window (%d)\n", *driftMin, *driftWindow)
-		return exitUsage
-	case *driftTrip <= 0 || *driftTrip > 1:
-		fmt.Fprintf(os.Stderr, "wise-serve: -drift-trip %v out of range (0, 1]\n", *driftTrip)
 		return exitUsage
 	}
 	if *sessionSpill != "" {
@@ -163,18 +131,8 @@ func run() int {
 		DrainTimeout:     *drain,
 		SessionBytes:     *sessionBytes,
 		SessionSpillDir:  *sessionSpill,
-		RegistryDir:      *registryDir,
-		ShadowRate:       *shadowRate,
-		ShadowWorkers:    *shadowWork,
-		DriftWindow:      *driftWindow,
-		DriftMinSamples:  *driftMin,
-		DriftTrip:        *driftTrip,
 	})
 	if err != nil {
-		if *registryDir != "" {
-			fmt.Fprintf(os.Stderr, "wise-serve: opening -registry %s with -models %s: %v\n", *registryDir, *models, err)
-			return exitIO
-		}
 		fmt.Fprintf(os.Stderr, "wise-serve: loading -models %s: %v\n", *models, err)
 		return exitIO
 	}

@@ -375,29 +375,18 @@ func (sr *suiteRun) predictBench(spec MatrixSpec, m *matrix.CSR, w *core.WISE) {
 }
 
 // benchServer is the suite's wise-serve instance: a real serve.Server
-// behind an httptest listener, with its model file in a temp dir. A second
-// shadow-enabled server (registry-backed, every request sampled) quantifies
-// the overhead the self-healing loop adds to the request path — by design
-// within the comparator's noise threshold, since measurement runs off-path.
+// behind an httptest listener, with its model file in a temp dir.
 type benchServer struct {
-	ts       *httptest.Server
-	tsShadow *httptest.Server
-	dir      string
-	stop     func() // cancels + joins the shadow server's feedback loop
+	ts  *httptest.Server
+	dir string
 }
 
 func (b *benchServer) close() {
 	if b == nil {
 		return
 	}
-	if b.stop != nil {
-		b.stop()
-	}
 	if b.ts != nil {
 		b.ts.Close()
-	}
-	if b.tsShadow != nil {
-		b.tsShadow.Close()
 	}
 	if b.dir != "" {
 		if err := os.RemoveAll(b.dir); err != nil {
@@ -438,41 +427,12 @@ func (sr *suiteRun) startServer(span *obs.Span) *benchServer {
 	}
 	s.SetReady(true)
 	b.ts = httptest.NewServer(s.Handler())
-
-	// The shadow variant: registry-backed, every request sampled. The
-	// retrain floor is set unreachably high so the loop measures and
-	// detects but never swaps models mid-benchmark.
-	sh, err := serve.New(serve.Config{
-		ModelPath:         modelPath,
-		RegistryDir:       filepath.Join(dir, "registry"),
-		Mach:              sr.mach,
-		ReloadPoll:        -1,
-		ShadowRate:        1,
-		RetrainMinSamples: 1 << 30,
-	})
-	if err != nil {
-		sr.failf("bench: starting shadow serve: %w", err)
-		return b
-	}
-	sh.SetReady(true)
-	fbCtx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sh.RunFeedback(fbCtx)
-	}()
-	b.stop = func() {
-		cancel()
-		<-done
-	}
-	b.tsShadow = httptest.NewServer(sh.Handler())
 	return b
 }
 
 // serveBench times the full wise-serve round-trip — MatrixMarket body
 // upload, server-side parse + feature extraction + prediction, JSON
-// response — against both the plain server and the shadow-sampling one, so
-// the comparator gates the self-healing loop's on-path overhead.
+// response.
 func (sr *suiteRun) serveBench(spec MatrixSpec, m *matrix.CSR, srv *benchServer) {
 	if sr.failed() || srv.ts == nil {
 		return
@@ -484,9 +444,6 @@ func (sr *suiteRun) serveBench(spec MatrixSpec, m *matrix.CSR, srv *benchServer)
 	}
 	payload := body.Bytes()
 	sr.serveRoundTrip(fmt.Sprintf("serve/%s/roundtrip", spec.Name), srv.ts, payload)
-	if srv.tsShadow != nil {
-		sr.serveRoundTrip(fmt.Sprintf("serve/%s/roundtrip-shadow", spec.Name), srv.tsShadow, payload)
-	}
 }
 
 // sessionBench times the stateful execution endpoint cold vs warm on the

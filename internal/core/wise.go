@@ -8,6 +8,8 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -229,15 +231,12 @@ type persistedMethod struct {
 	T     float64 `json:"t"`
 }
 
-// ModelsArtifactKind tags model files in their resilience envelope. The
-// model registry (internal/registry) uses the same kind, so generation files
-// and standalone wise-train outputs are interchangeable artifacts.
+// ModelsArtifactKind tags model files in their resilience envelope.
 const ModelsArtifactKind = "wise-models"
 
-// MarshalPayload serializes the trained models to the deterministic JSON
-// payload that Save seals inside a resilience envelope. The registry
-// content-addresses generations by the sha256 of exactly these bytes.
-func (w *WISE) MarshalPayload() ([]byte, error) {
+// marshalPayload serializes the trained models to the deterministic JSON
+// payload that Save seals inside a resilience envelope.
+func (w *WISE) marshalPayload() ([]byte, error) {
 	p := persisted{MachineName: w.Mach.Name, FeatureK: w.FeatureCfg.K}
 	for _, m := range w.Models {
 		p.Methods = append(p.Methods, persistedMethod{
@@ -258,7 +257,7 @@ func (w *WISE) MarshalPayload() ([]byte, error) {
 // rejected at load instead of silently mis-parsing. The output is
 // deterministic in the models.
 func (w *WISE) Save(path string) error {
-	data, err := w.MarshalPayload()
+	data, err := w.marshalPayload()
 	if err != nil {
 		return err
 	}
@@ -268,10 +267,10 @@ func (w *WISE) Save(path string) error {
 	return nil
 }
 
-// LoadPayload parses and validates a models payload (the JSON inside the
-// envelope). Errors do not name the source; file-level loaders (Load, the
-// registry) wrap them with the offending path.
-func LoadPayload(data []byte, mach machine.Machine) (*WISE, error) {
+// loadPayload parses and validates a models payload (the JSON inside the
+// envelope). Errors do not name the source; Load wraps them with the
+// offending path.
+func loadPayload(data []byte, mach machine.Machine) (*WISE, error) {
 	var p persisted
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("parsing models: %w", err)
@@ -305,6 +304,15 @@ func LoadPayload(data []byte, mach machine.Machine) (*WISE, error) {
 // Enveloped files are checksum-verified; raw JSON files from before the
 // envelope era load through the legacy path.
 func Load(path string, mach machine.Machine) (*WISE, error) {
+	w, _, err := LoadSum(path, mach)
+	return w, err
+}
+
+// LoadSum is Load that also returns the hex sha256 of the models payload it
+// parsed: the envelope's verified payload checksum, or for a legacy file
+// the checksum of its raw bytes. The sum is the content identity of the
+// loaded models — equal sums mean identical models.
+func LoadSum(path string, mach machine.Machine) (*WISE, string, error) {
 	// Every failure branch names path: Load errors surface verbatim in CLI
 	// and server startup messages, and the exit-code contract (RESILIENCE.md)
 	// requires the offending file in the error.
@@ -312,13 +320,14 @@ func Load(path string, mach machine.Machine) (*WISE, error) {
 	data := env.Payload
 	if err != nil {
 		if !errors.Is(err, resilience.ErrNotEnveloped) {
-			return nil, fmt.Errorf("core: loading models %s: %w", path, err)
+			return nil, "", fmt.Errorf("core: loading models %s: %w", path, err)
 		}
 		data = raw // legacy pre-envelope models.json: raw JSON
 	}
-	w, err := LoadPayload(data, mach)
+	w, err := loadPayload(data, mach)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", path, err)
+		return nil, "", fmt.Errorf("core: %s: %w", path, err)
 	}
-	return w, nil
+	sum := sha256.Sum256(data)
+	return w, hex.EncodeToString(sum[:]), nil
 }

@@ -12,7 +12,7 @@ import (
 
 // ResourceLifecycleAnalyzer checks that every releasable resource acquired
 // in a function is released on every path out of it, or provably hands
-// ownership elsewhere. The serving stack (internal/serve, internal/registry)
+// ownership elsewhere. The serving stack (internal/serve, internal/session)
 // runs indefinitely: a ticker that never stops, a context whose cancel is
 // dropped, or a file handle leaked on one error branch is a slow resource
 // exhaustion that no test catches and production does.

@@ -17,10 +17,6 @@ var Registry = map[string]string{
 	"serve.predict.error":             "fail the predictor; exercises CSR-fallback degradation and breaker trips",
 	"serve.predict.delay":             "stall the predictor (d=...); exercises deadline-overrun degradation",
 	"serve.reload.corrupt":            "fail model-reload validation; exercises rollback to the serving generation",
-	"shadow.exec.panic":               "panic inside a shadow-measurement worker; exercises the worker-pool panic quarantine",
-	"retrain.fail":                    "fail the drift-triggered retrain; exercises retrain quarantine and retry on the next trip",
-	"registry.publish.crash":          "crash between writing a generation file and the manifest swap; exercises last-good recovery on restart",
-	"promote.reject":                  "force the canary gate to reject a candidate generation; exercises promotion refusal without a manifest change",
 	"session.spill.corrupt":           "corrupt (error) or crash (panic) a session spill write; exercises quarantine-and-rebuild on restart",
 	"session.evict.race":              "fail (skip victim) or crash eviction between victim choice and removal; exercises pinned-eviction refusal and crash-mid-eviction recovery",
 	"session.singleflight.leaderfail": "fail the singleflight leader's build; exercises leader-error propagation to every waiter",

@@ -148,16 +148,11 @@ func (s *Server) handlePredict(ctx context.Context, w http.ResponseWriter, r *ht
 		reject(w, err)
 		return
 	}
-	resp, sel, predicted := s.selectMethod(ctx, lm, m)
+	resp := s.selectMethod(ctx, lm, m)
 	resp.Rows, resp.Cols, resp.NNZ = m.Rows, m.Cols, m.NNZ()
 	resp.ElapsedMS = msSince(start)
 	if resp.Degraded {
 		requestsDegraded.Inc()
-	}
-	if predicted && s.feedback != nil {
-		// Off-path shadow measurement of a sampled fraction of healthy
-		// predictions; never blocks or fails the request.
-		s.feedback.pool.offer(m, sel, lm)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -180,7 +175,7 @@ func (s *Server) lookup(w http.ResponseWriter, lm *loadedModel, fp string) (*ses
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("serve: unknown fingerprint %s; upload via POST /matrix first", fp)})
 		return nil, core.Selection{}, false
 	}
-	return ent, s.sessions.Refresh(ent, lm.genID, lm.w.SelectFromFeatures), true
+	return ent, s.sessions.Refresh(ent, lm.sum, lm.w.SelectFromFeatures), true
 }
 
 // selectionResponse is the answer for a selection the model made for m.
@@ -199,13 +194,11 @@ func selectionResponse(sel core.Selection, m *matrix.CSR) predictResponse {
 // selectMethod is the degradation ladder around the predictor. The breaker
 // decides whether the predictor may run at all; if it runs and fails (error
 // or deadline overrun), the outcome feeds back into the breaker and the
-// response degrades to the fallback method of the serving generation. The
-// returned predicted flag is true only when the model actually ran — the
-// shadow sampler measures real predictions, not fallback answers.
-func (s *Server) selectMethod(ctx context.Context, lm *loadedModel, m *matrix.CSR) (predictResponse, core.Selection, bool) {
+// response degrades to the fallback method of the serving generation.
+func (s *Server) selectMethod(ctx context.Context, lm *loadedModel, m *matrix.CSR) predictResponse {
 	usePredictor, probe := s.breaker.allow()
 	if !usePredictor {
-		return fallbackResponse(lm, reasonBreakerOpen), core.Selection{}, false
+		return fallbackResponse(lm, reasonBreakerOpen)
 	}
 	sel, err := predict(ctx, lm, m)
 	s.breaker.report(err == nil, probe)
@@ -214,9 +207,9 @@ func (s *Server) selectMethod(ctx context.Context, lm *loadedModel, m *matrix.CS
 		if ctx.Err() != nil {
 			reason = reasonDeadline
 		}
-		return fallbackResponse(lm, reason), core.Selection{}, false
+		return fallbackResponse(lm, reason)
 	}
-	return selectionResponse(sel, m), sel, true
+	return selectionResponse(sel, m)
 }
 
 // predict runs the ctx-aware feature-extraction + tree-inference path, with

@@ -32,23 +32,4 @@ var (
 	inFlight = obs.NewGauge("serve.in_flight")
 
 	requestSeconds = obs.NewHistogram("serve.request_seconds", nil)
-
-	// Feedback loop: shadow measurement, drift detection, retrain (see
-	// RESILIENCE.md "Self-healing serving").
-	shadowSampled  = obs.NewCounter("serve.shadow_sampled")
-	shadowDropped  = obs.NewCounter("serve.shadow_dropped")
-	shadowSkipped  = obs.NewCounter("serve.shadow_skipped")
-	shadowMeasured = obs.NewCounter("serve.shadow_measured")
-	shadowMismatch = obs.NewCounter("serve.shadow_mismatches")
-	shadowPanics   = obs.NewCounter("serve.shadow_panics")
-	shadowDeadline = obs.NewCounter("serve.shadow_deadline")
-	shadowSeconds  = obs.NewHistogram("serve.shadow_seconds", nil)
-
-	driftRate      = obs.NewGauge("serve.drift_rate")
-	driftTrippedG  = obs.NewGauge("serve.drift_tripped")
-	driftTrips     = obs.NewCounter("serve.drift_trips")
-	driftRollbacks = obs.NewCounter("serve.drift_rollbacks")
-
-	retrains       = obs.NewCounter("serve.retrains")
-	retrainsFailed = obs.NewCounter("serve.retrains_failed")
 )

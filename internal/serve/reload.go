@@ -12,26 +12,24 @@ import (
 	"wise/internal/core"
 	"wise/internal/machine"
 	"wise/internal/obs"
-	"wise/internal/registry"
 	"wise/internal/resilience"
 	"wise/internal/resilience/faultinject"
 )
 
 // loadedModel is one immutable generation of the serving model: the trained
 // framework, the precomputed index of the cheapest (CSR) method used as the
-// degradation fallback, and the backing-store identity that change polling
-// compares against. Generations are swapped atomically; in-flight requests
-// keep the pointer they started with.
+// degradation fallback, and the model file's identity at load time, which
+// change polling compares against. Generations are swapped atomically;
+// in-flight requests keep the pointer they started with.
 type loadedModel struct {
 	w        *core.WISE
-	fallback int    // index into w.Space() of the lowest-preprocessing method
-	genID    string // registry generation ID ("" for file-backed models)
+	fallback int // index into w.Space() of the lowest-preprocessing method
 
-	// File identity of the backing store at load time. For file-backed
-	// models this is the model file itself; for registry-backed models it is
-	// the manifest artifact. sum is the envelope's declared payload sha256
-	// ("" for legacy non-enveloped files), the tiebreaker that catches
-	// same-mtime rewrites on coarse-timestamp filesystems.
+	// The model file's identity at load time. sum is the sha256 of the
+	// loaded models payload (core.LoadSum) and doubles as the generation
+	// ID: prepared sessions re-select exactly when it moves. For an
+	// enveloped file it equals the header checksum, the tiebreaker that
+	// catches same-mtime rewrites on coarse-timestamp filesystems.
 	mtime time.Time
 	size  int64
 	sum   string
@@ -51,31 +49,20 @@ func newLoadedModel(w *core.WISE) (*loadedModel, error) {
 	return &loadedModel{w: w, fallback: fallback}, nil
 }
 
-// modelSource is where generations come from: a standalone model file
-// (wise-train output) or a crash-safe registry (internal/registry). load
-// validates a fresh candidate; changed cheaply reports whether the backing
-// store differs from the serving generation, driving the poll-based reload.
-type modelSource interface {
-	load() (*loadedModel, error)
-	changed(cur *loadedModel) bool
-	describe() string
-}
-
-// fileSource serves a single model file, reloading when its identity on
-// disk changes.
+// fileSource is where generations come from: a single model file
+// (wise-train output), reloaded when its identity on disk changes.
 type fileSource struct {
 	path string
 	mach machine.Machine
 }
 
-func (f *fileSource) describe() string { return f.path }
-
+// load validates the model file into a fresh generation.
 func (f *fileSource) load() (*loadedModel, error) {
 	fi, err := os.Stat(f.path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: models %s: %w", f.path, err)
 	}
-	w, err := core.Load(f.path, f.mach)
+	w, sum, err := core.LoadSum(f.path, f.mach)
 	if err != nil {
 		return nil, err
 	}
@@ -83,8 +70,7 @@ func (f *fileSource) load() (*loadedModel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: models %s: %w", f.path, err)
 	}
-	lm.mtime, lm.size = fi.ModTime(), fi.Size()
-	lm.sum = peekSum(f.path)
+	lm.mtime, lm.size, lm.sum = fi.ModTime(), fi.Size(), sum
 	return lm, nil
 }
 
@@ -92,9 +78,10 @@ func (f *fileSource) load() (*loadedModel, error) {
 // serving generation — the mtime-poll reload trigger. mtime or size moving
 // is a change; when both match, the envelope checksum breaks the tie, so a
 // same-size rewrite within one timestamp granule (coarse-timestamp
-// filesystems, fast CI) still triggers a reload. Stat errors read as
-// "unchanged": a transient missing file during an external atomic replace
-// must not spam rejected reloads.
+// filesystems, fast CI) still triggers a reload. A legacy non-enveloped
+// file has no header to peek, so its identity is mtime+size only. Stat
+// errors read as "unchanged": a transient missing file during an external
+// atomic replace must not spam rejected reloads.
 func (f *fileSource) changed(cur *loadedModel) bool {
 	fi, err := os.Stat(f.path)
 	if err != nil {
@@ -103,11 +90,8 @@ func (f *fileSource) changed(cur *loadedModel) bool {
 	if !fi.ModTime().Equal(cur.mtime) || fi.Size() != cur.size {
 		return true
 	}
-	if cur.sum == "" {
-		return false // legacy non-enveloped file: identity is mtime+size only
-	}
 	sum := peekSum(f.path)
-	return sum != "" && sum != cur.sum
+	return sum != "" && cur.sum != "" && sum != cur.sum
 }
 
 // peekSum reads the envelope header checksum, or "" when the file is
@@ -120,60 +104,16 @@ func peekSum(path string) string {
 	return sum
 }
 
-// registrySource serves the registry's current generation and reloads when
-// the manifest artifact changes on disk (an external promotion; in-process
-// promotions swap the holder directly).
-type registrySource struct {
-	reg *registry.Registry
-}
-
-func (r *registrySource) describe() string { return r.reg.Dir() }
-
-func (r *registrySource) load() (*loadedModel, error) {
-	gen, _, err := r.reg.Refresh()
-	if err != nil {
-		return nil, err
-	}
-	if gen == nil {
-		return nil, fmt.Errorf("serve: registry %s is empty", r.reg.Dir())
-	}
-	lm, err := newLoadedModel(gen.W)
-	if err != nil {
-		return nil, fmt.Errorf("serve: registry generation %s: %w", gen.ID, err)
-	}
-	lm.genID = gen.ID
-	if fi, err := os.Stat(r.reg.ManifestPath()); err == nil {
-		lm.mtime, lm.size = fi.ModTime(), fi.Size()
-	}
-	lm.sum = peekSum(r.reg.ManifestPath())
-	return lm, nil
-}
-
-func (r *registrySource) changed(cur *loadedModel) bool {
-	fi, err := os.Stat(r.reg.ManifestPath())
-	if err != nil {
-		return false
-	}
-	if !fi.ModTime().Equal(cur.mtime) || fi.Size() != cur.size {
-		return true
-	}
-	if cur.sum == "" {
-		return false
-	}
-	sum := peekSum(r.reg.ManifestPath())
-	return sum != "" && sum != cur.sum
-}
-
 // modelHolder owns the current model generation and the reload protocol:
-// the source validates a candidate into a fresh generation, and only a
+// the file source validates a candidate into a fresh generation, and only a
 // fully valid one is swapped in — a corrupt file on disk leaves the
 // previous generation serving and bumps serve.model_reloads_rejected.
 type modelHolder struct {
-	src modelSource
+	src *fileSource
 	cur atomic.Pointer[loadedModel]
 }
 
-func newModelHolder(src modelSource) (*modelHolder, error) {
+func newModelHolder(src *fileSource) (*modelHolder, error) {
 	h := &modelHolder{src: src}
 	lm, err := src.load()
 	if err != nil {
@@ -186,7 +126,7 @@ func newModelHolder(src modelSource) (*modelHolder, error) {
 // current returns the serving generation.
 func (h *modelHolder) current() *loadedModel { return h.cur.Load() }
 
-// Reload validates the backing store and swaps it in. On any failure —
+// Reload validates the model file and swaps it in. On any failure —
 // including an injected serve.reload.corrupt fault standing in for a
 // half-written or truncated file — the previous generation keeps serving
 // and the rejection is counted; the error describes what was wrong.
@@ -209,7 +149,7 @@ func (h *modelHolder) reloadCandidate() (*loadedModel, error) {
 }
 
 // watch drives hot reload until ctx is cancelled: SIGHUP forces a reload,
-// and every poll interval the backing-store identity is compared against
+// and every poll interval the model file's identity is compared against
 // the serving generation. Reload failures are reported through the counter
 // and verbose log only — a bad file must never take down a serving process.
 func (h *modelHolder) watch(ctx context.Context, poll time.Duration) {
@@ -240,5 +180,5 @@ func (h *modelHolder) logReload(err error) {
 		obs.Verbosef("serve: %v", err)
 		return
 	}
-	obs.Verbosef("serve: reloaded models from %s (%d models)", h.src.describe(), len(h.current().w.Models))
+	obs.Verbosef("serve: reloaded models from %s (%d models)", h.src.path, len(h.current().w.Models))
 }

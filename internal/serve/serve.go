@@ -31,10 +31,11 @@
 // Around the pipeline, the model hot-reloads on SIGHUP or mtime change
 // with validation and rollback (reload.go); shutdown drains (stop
 // accepting, finish in-flight work within the drain budget, record the
-// sessions still pinned, exit 130 in the CLI); and the optional
-// self-healing loop shadow-measures answers and retrains (feedback.go).
-// /healthz, /readyz, and /metricz expose liveness, readiness, and an obs
-// snapshot to orchestration.
+// sessions still pinned, exit 130 in the CLI). The model file is the one
+// source of serving generations; the sha256 of its models payload is the
+// generation ID, so prepared sessions re-select after every reload that
+// changes the model. /healthz, /readyz, and /metricz expose liveness,
+// readiness, and an obs snapshot to orchestration.
 package serve
 
 import (
@@ -51,7 +52,6 @@ import (
 	"wise/internal/machine"
 	"wise/internal/matrix"
 	"wise/internal/obs"
-	"wise/internal/registry"
 	"wise/internal/session"
 )
 
@@ -82,34 +82,6 @@ type Config struct {
 	// sessions to disk in checksummed envelopes so a restart rehydrates them.
 	SessionBytes    int64
 	SessionSpillDir string
-
-	// Self-healing loop (RESILIENCE.md "Self-healing serving"). RegistryDir
-	// switches the model source from the single -models file to a crash-safe
-	// generation registry (internal/registry); an empty registry is seeded
-	// from ModelPath. ShadowRate > 0 enables shadow measurement of sampled
-	// requests; with a registry it closes the full loop — drift detection,
-	// retrain, canary-gated promotion, probation rollback.
-	RegistryDir string
-
-	ShadowRate       float64       // fraction of requests shadow-measured; 0 disables
-	ShadowWorkers    int           // measurement workers; default 1
-	ShadowQueue      int           // pending measurement bound; default 16
-	ShadowDeadline   time.Duration // per-measurement budget; default 2s
-	ShadowMaxNNZ     int           // skip matrices larger than this; default 2M
-	ShadowMaxSamples int           // shadow-label store bound; default 512
-
-	DriftWindow     int     // mismatch-rate window; default 64
-	DriftMinSamples int     // samples before the detector may trip; default 16
-	DriftTrip       float64 // mismatch rate that trips; default 0.5
-	DriftClear      float64 // rate that releases the trip; default DriftTrip/2
-	DriftProbation  int     // post-promotion probation samples; default 2*DriftMinSamples
-
-	RetrainMinSamples int           // labels required to retrain; default 8
-	RetrainDeadline   time.Duration // quarantined training budget; default 30s
-	CanaryHoldout     float64       // held-out validation fraction; default 0.25
-	CanarySeed        int64         // holdout-split seed; default 1
-
-	ShadowMeasure measureFunc // test hook; nil runs the real kernels
 }
 
 func (c Config) withDefaults() Config {
@@ -146,51 +118,6 @@ func (c Config) withDefaults() Config {
 	if c.SessionBytes <= 0 {
 		c.SessionBytes = 256 << 20
 	}
-	if c.ShadowRate > 1 {
-		c.ShadowRate = 1
-	}
-	if c.ShadowWorkers <= 0 {
-		c.ShadowWorkers = 1
-	}
-	if c.ShadowQueue <= 0 {
-		c.ShadowQueue = 16
-	}
-	if c.ShadowDeadline <= 0 {
-		c.ShadowDeadline = 2 * time.Second
-	}
-	if c.ShadowMaxNNZ <= 0 {
-		c.ShadowMaxNNZ = 2_000_000
-	}
-	if c.ShadowMaxSamples <= 0 {
-		c.ShadowMaxSamples = 512
-	}
-	if c.DriftWindow <= 0 {
-		c.DriftWindow = 64
-	}
-	if c.DriftMinSamples <= 0 {
-		c.DriftMinSamples = 16
-	}
-	if c.DriftTrip <= 0 || c.DriftTrip > 1 {
-		c.DriftTrip = 0.5
-	}
-	if c.DriftClear <= 0 || c.DriftClear >= c.DriftTrip {
-		c.DriftClear = c.DriftTrip / 2
-	}
-	if c.DriftProbation <= 0 {
-		c.DriftProbation = 2 * c.DriftMinSamples
-	}
-	if c.RetrainMinSamples <= 0 {
-		c.RetrainMinSamples = 8
-	}
-	if c.RetrainDeadline <= 0 {
-		c.RetrainDeadline = 30 * time.Second
-	}
-	if c.CanaryHoldout <= 0 || c.CanaryHoldout >= 1 {
-		c.CanaryHoldout = 0.25
-	}
-	if c.CanarySeed == 0 {
-		c.CanarySeed = 1
-	}
 	return c
 }
 
@@ -201,45 +128,17 @@ type Server struct {
 	models   *modelHolder
 	admit    *admission
 	breaker  *breaker
-	reg      *registry.Registry // nil when serving a plain model file
-	feedback *feedback          // nil when ShadowRate is 0
 	sessions *session.Store
 	ready    atomic.Bool
 	mux      *http.ServeMux
 }
 
-// New loads and validates the model source and assembles the server. A bad
-// model path or registry fails here — startup, not first request — so the
-// CLI can exit 1 naming the flag. With RegistryDir set, an empty registry
-// is seeded from ModelPath with an ungated initial promotion (there is no
-// serving generation to gate against yet).
+// New loads and validates the model file and assembles the server. A bad
+// model path fails here — startup, not first request — so the CLI can exit
+// 1 naming the flag.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	var src modelSource
-	var reg *registry.Registry
-	if cfg.RegistryDir != "" {
-		var err error
-		reg, err = registry.Open(cfg.RegistryDir, cfg.Mach)
-		if err != nil {
-			return nil, err
-		}
-		if reg.Current() == nil {
-			if cfg.ModelPath == "" {
-				return nil, fmt.Errorf("serve: registry %s is empty and no model file given to seed it", cfg.RegistryDir)
-			}
-			gen, err := reg.ImportFile(cfg.ModelPath)
-			if err != nil {
-				return nil, err
-			}
-			if err := reg.Promote(gen.ID); err != nil {
-				return nil, err
-			}
-		}
-		src = &registrySource{reg: reg}
-	} else {
-		src = &fileSource{path: cfg.ModelPath, mach: cfg.Mach}
-	}
-	models, err := newModelHolder(src)
+	models, err := newModelHolder(&fileSource{path: cfg.ModelPath, mach: cfg.Mach})
 	if err != nil {
 		return nil, err
 	}
@@ -256,11 +155,7 @@ func New(cfg Config) (*Server, error) {
 		models:   models,
 		admit:    newAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait),
 		breaker:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		reg:      reg,
 		sessions: sessions,
-	}
-	if cfg.ShadowRate > 0 {
-		s.feedback = newFeedback(cfg, reg, models)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /predict", s.guard(nil, s.handlePredict))
@@ -278,29 +173,12 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // ModelCount reports the number of models in the serving generation.
 func (s *Server) ModelCount() int { return len(s.models.current().w.Models) }
 
-// GenerationID reports the registry generation currently serving, or "" for
-// a file-backed server.
-func (s *Server) GenerationID() string { return s.models.current().genID }
-
-// Registry returns the backing model registry, or nil for a file-backed
-// server.
-func (s *Server) Registry() *registry.Registry { return s.reg }
+// GenerationID reports the generation currently serving: the sha256 of its
+// models payload.
+func (s *Server) GenerationID() string { return s.models.current().sum }
 
 // Sessions returns the prepared-matrix session store.
 func (s *Server) Sessions() *session.Store { return s.sessions }
-
-// RunFeedback runs the self-healing loop (shadow workers + drift/retrain
-// controller) until ctx cancels, joining all goroutines before returning.
-// Serve calls it automatically; embedders and tests using Handler directly
-// run it themselves when they want shadow measurement active. A no-op that
-// still blocks on ctx when the loop is disabled, so callers need not branch.
-func (s *Server) RunFeedback(ctx context.Context) {
-	if s.feedback == nil {
-		<-ctx.Done()
-		return
-	}
-	s.feedback.run(ctx)
-}
 
 // Reload forces a model reload (the SIGHUP path, callable directly by
 // tests and embedders). See modelHolder.Reload for the rollback contract.
@@ -328,11 +206,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	go func() {
 		defer wg.Done()
 		s.models.watch(watchCtx, s.cfg.ReloadPoll)
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s.RunFeedback(watchCtx)
 	}()
 	serveErr := make(chan error, 1)
 	wg.Add(1)

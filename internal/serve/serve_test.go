@@ -29,6 +29,7 @@ import (
 	"wise/internal/matrix"
 	"wise/internal/ml"
 	"wise/internal/perf"
+	"wise/internal/resilience"
 	"wise/internal/resilience/faultinject"
 )
 
@@ -43,7 +44,7 @@ func TestMain(m *testing.M) {
 		os.Exit(1)
 	}
 	sharedModelPath = filepath.Join(dir, "models.json")
-	if err := buildTestModel(sharedModelPath); err != nil {
+	if err := buildTestModel(sharedModelPath, []int{1, 0}); err != nil {
 		fmt.Fprintln(os.Stderr, "building test model:", err)
 		os.Exit(1)
 	}
@@ -52,10 +53,12 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// buildTestModel trains a deliberately tiny two-method framework: every
-// matrix labels CSR with the higher speedup class, so prediction always
-// selects CSR and the tests stay fast and deterministic.
-func buildTestModel(path string) error {
+// buildTestModel trains a deliberately tiny two-method framework over
+// {CSR, SELLPACK}: every matrix carries the same two speedup classes, so
+// prediction is constant and the tests stay fast and deterministic. The
+// shared model labels CSR with the higher class ({1, 0}), so it always
+// selects CSR; {0, 2} makes SELLPACK a big win instead.
+func buildTestModel(path string, classes []int) error {
 	space := []kernels.Method{
 		{Kind: kernels.CSR, Sched: kernels.Dyn},
 		{Kind: kernels.SELLPACK, Sched: kernels.Dyn, C: 8},
@@ -69,7 +72,7 @@ func buildTestModel(path string) error {
 			Rows: m.Rows, Cols: m.Cols, NNZ: int64(m.NNZ()),
 			Features: features.Extract(m, features.DefaultConfig()),
 			Methods:  space,
-			Classes:  []int{1, 0},
+			Classes:  classes,
 		})
 	}
 	w, err := core.Train(labels, ml.DefaultTreeConfig(), features.DefaultConfig(), machine.Scaled())
@@ -393,6 +396,131 @@ func TestReloadRollback(t *testing.T) {
 	}
 	if got := s.ModelCount(); got != want {
 		t.Fatalf("after good reload: %d models, want %d", got, want)
+	}
+}
+
+// TestReloadReselectsWarmSessions pins the generation ID to the model
+// file's content: after a reload to a model that selects a different
+// method, a prepared session must answer warm /predict and /spmv with the
+// new model's selection, and so must a session rehydrated from the spill
+// directory by a server restarted on the new model file.
+func TestReloadReselectsWarmSessions(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "models.json")
+	csrModel, err := os.ReadFile(sharedModelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, csrModel, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spill := filepath.Join(dir, "spill")
+	mut := func(c *Config) { c.ModelPath, c.SessionSpillDir = path, spill }
+	s, ts := newTestServer(t, mut)
+	genA := s.GenerationID()
+	if genA == "" {
+		t.Fatal("file-backed server has no generation ID")
+	}
+
+	warmPredict := func(url, fp string) predictResponse {
+		t.Helper()
+		resp, err := http.Post(url+"/predict?fp="+fp, "text/plain", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var pr predictResponse
+		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil || resp.StatusCode != http.StatusOK || !pr.Cached {
+			t.Fatalf("warm predict: status=%d resp=%+v err=%v", resp.StatusCode, pr, err)
+		}
+		return pr
+	}
+	status, mr := postMatrix(t, ts.URL, mmBytes(t, testMatrix(t)))
+	if status != http.StatusOK || !mr.Stored {
+		t.Fatalf("upload: status=%d resp=%+v", status, mr)
+	}
+	csr := warmPredict(ts.URL, mr.Fingerprint).Method
+
+	// Same path, new model: SELLPACK is now the predicted win.
+	if err := buildTestModel(path, []int{0, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Reload(); err != nil {
+		t.Fatalf("Reload: %v", err)
+	}
+	if genB := s.GenerationID(); genB == "" || genB == genA {
+		t.Fatalf("generation ID after reload = %q, want a new non-empty ID (was %q)", genB, genA)
+	}
+	sell := warmPredict(ts.URL, mr.Fingerprint).Method
+	if sell == csr || !strings.HasPrefix(sell, "SELLPACK") {
+		t.Fatalf("warm predict after reload answered %s, want the new model's SELLPACK (was %s)", sell, csr)
+	}
+	status, sr, raw := postSpMV(t, ts.URL, spmvRequest{Fingerprint: mr.Fingerprint})
+	if status != http.StatusOK || !sr.Warm || sr.Method != sell {
+		t.Fatalf("warm /spmv after reload: status=%d resp=%+v body=%s, want method %s", status, sr, raw, sell)
+	}
+
+	// Restart over the same spill directory with the new model file: the
+	// rehydrated session carries the old generation's selection and must
+	// re-select on first use.
+	ts.Close()
+	s2, ts2 := newTestServer(t, mut)
+	if st := s2.Sessions().Stats(); st.Recoveries != 1 {
+		t.Fatalf("restart rehydration: %+v", st)
+	}
+	if got := warmPredict(ts2.URL, mr.Fingerprint).Method; got != sell {
+		t.Fatalf("rehydrated session answered %s, want the new model's %s", got, sell)
+	}
+}
+
+// TestFileSourceChecksumChange is the reload-trigger fix: a model file
+// rewritten with different bytes but identical mtime and size (coarse
+// timestamps, same-length payload) must still read as changed via the
+// envelope checksum.
+func TestFileSourceChecksumChange(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "models.json")
+	payloadA := []byte(`{"payload":"aaaa"}`)
+	payloadB := []byte(`{"payload":"bbbb"}`)
+	if err := resilience.WriteArtifact(path, core.ModelsArtifactKind, 1, payloadA); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &fileSource{path: path, mach: machine.Scaled()}
+	cur := &loadedModel{mtime: fi.ModTime(), size: fi.Size(), sum: peekSum(path)}
+	if cur.sum == "" {
+		t.Fatal("enveloped artifact yielded no header checksum")
+	}
+	if src.changed(cur) {
+		t.Fatal("unchanged file reported as changed")
+	}
+
+	// Same-length payload -> byte-identical file size; restore mtime to
+	// simulate a rewrite within one timestamp granule.
+	if err := resilience.WriteArtifact(path, core.ModelsArtifactKind, 1, payloadB); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(path, fi.ModTime(), fi.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+	fiB, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fiB.Size() != fi.Size() || !fiB.ModTime().Equal(fi.ModTime()) {
+		t.Fatalf("test setup failed to keep identity: size %d->%d mtime %v->%v",
+			fi.Size(), fiB.Size(), fi.ModTime(), fiB.ModTime())
+	}
+	if !src.changed(cur) {
+		t.Fatal("same-mtime same-size rewrite not detected by checksum compare")
+	}
+
+	// Legacy files without an envelope keep the mtime+size-only contract.
+	legacy := &loadedModel{mtime: fiB.ModTime(), size: fiB.Size(), sum: ""}
+	if src.changed(legacy) {
+		t.Fatal("legacy (no-checksum) generation flagged changed on identical identity")
 	}
 }
 

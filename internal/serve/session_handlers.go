@@ -89,7 +89,7 @@ func (s *Server) prepare(ctx context.Context, lm *loadedModel, body []byte) (*se
 		M:      m,
 		Feat:   feat,
 		Sel:    sel,
-		GenID:  lm.genID,
+		GenID:  lm.sum,
 		Format: kernels.Build(m, sel.Method, lm.w.Mach.RowBlock),
 	}, nil
 }
@@ -161,7 +161,7 @@ func (s *Server) handleMatrix(ctx context.Context, w http.ResponseWriter, r *htt
 	switch {
 	case ent != nil:
 		defer s.sessions.Release(ent)
-		sel := s.sessions.Refresh(ent, lm.genID, lm.w.SelectFromFeatures)
+		sel := s.sessions.Refresh(ent, lm.sum, lm.w.SelectFromFeatures)
 		resp = matrixResponse{predictResponse: selectionResponse(sel, ent.Matrix()), Stored: true}
 		resp.Cached = hit
 	case p != nil:
@@ -238,7 +238,7 @@ func (s *Server) handleSpMV(ctx context.Context, w http.ResponseWriter, r *http.
 		case ent == nil:
 			return
 		}
-		sel = s.sessions.Refresh(ent, lm.genID, lm.w.SelectFromFeatures)
+		sel = s.sessions.Refresh(ent, lm.sum, lm.w.SelectFromFeatures)
 	}
 	defer s.sessions.Release(ent)
 	if warm {

@@ -24,9 +24,9 @@ go build ./...
 # so vet it and run its short tests here.
 (cd wisebench && GOWORK=off go vet ./... && GOWORK=off go test -short ./...)
 # Focused race gate over the concurrency-heavy packages (worker pools,
-# checkpoint collector, fault injection, model registry, session store)
+# checkpoint collector, fault injection, session store)
 # before the full module run.
-go test -race ./internal/perf ./internal/ml ./internal/resilience/... ./internal/serve ./internal/registry ./internal/session
+go test -race ./internal/perf ./internal/ml ./internal/resilience/... ./internal/serve ./internal/session
 go test -race ./...
 
 # Benchmark smoke: the S preset must run to completion and produce a valid
