@@ -16,7 +16,7 @@
 //
 // -sarif writes the findings as a SARIF 2.1.0 log for CI code-scanning
 // upload. -fix applies the suggested fixes (capacity hints, context
-// threading, defer-hoisted unlocks), rewriting only files in which every
+// threading), rewriting only files in which every
 // finding has a fix. -analyzers runs a comma-separated subset of the suite;
 // an unknown name is a usage error (exit 2) so a typo cannot pass CI
 // vacuously. -budget fails the run (exit 1) when linting took longer than

@@ -32,9 +32,9 @@
 // -cpuprofile, -memprofile) are documented in OBSERVABILITY.md.
 //
 // The server's mutex-guarded state (the circuit breaker's automaton) is
-// annotated `// guarded by mu` and enforced statically by wise-lint's v3
-// concurrency analyzers (LINTING.md), in addition to the race-detector
-// gates in scripts/check.sh.
+// annotated `// guarded by mu`. No static analyzer checks the annotation:
+// the race-detector gates in scripts/check.sh enforce it, and go vet's
+// copylocks catches a copied mutex (RESILIENCE.md).
 //
 // Exit codes (RESILIENCE.md): 0 never in normal operation (the server runs
 // until signalled), 1 startup or listener failure naming the offending

@@ -2,8 +2,8 @@
 // analyzers (LINTING.md, "The v2 engine"). A Graph is a set of basic blocks
 // over the statements and control expressions of one function body; on top
 // of it the package computes dominators, back edges, natural loops with
-// nesting depth, and a small forward dataflow layer (reaching definitions in
-// dataflow.go). The graphs are intraprocedural and syntactic: function
+// nesting depth; dataflow.go adds the derived-value and retained-value
+// helpers the analyzers share. The graphs are intraprocedural and syntactic: function
 // literals are treated as opaque values of the enclosing function (their
 // bodies get graphs of their own when an analyzer asks for one), and panics
 // and calls that never return (os.Exit, runtime.Goexit, log.Fatal*) are
@@ -32,8 +32,6 @@ type Graph struct {
 	Exit   *Block
 	Blocks []*Block // all blocks, Entry first, Exit last, in creation order
 
-	fnType *ast.FuncType // non-nil when built via FuncGraph; used for entry defs
-
 	idom  []int // immediate dominator per block index; -1 = unreachable/entry
 	rpo   []int // reverse-postorder position per block index; -1 = unreachable
 	loops []*Loop
@@ -56,13 +54,9 @@ func FuncGraph(fn ast.Node) *Graph {
 		if f.Body == nil {
 			return nil
 		}
-		g := New(f.Body)
-		g.fnType = f.Type
-		return g
+		return New(f.Body)
 	case *ast.FuncLit:
-		g := New(f.Body)
-		g.fnType = f.Type
-		return g
+		return New(f.Body)
 	}
 	return nil
 }

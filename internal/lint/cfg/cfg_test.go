@@ -429,35 +429,6 @@ func TestBreakBlockOutsideNaturalLoop(t *testing.T) {
 
 const dataflowSrc = `package fix
 
-func reach(cond bool) int {
-	x := 1
-	if cond {
-		x = 2
-	} else {
-		x = 3
-	}
-	return x
-}
-
-func loopcarried(n int) int {
-	acc := 0
-	for i := 0; i < n; i++ {
-		acc = acc + i
-	}
-	return acc
-}
-
-func escapes(out *[]int, n int) []int {
-	kept := make([]int, 0, n)
-	local := make([]int, n)
-	captured := make([]int, n)
-	f := func() int { return len(captured) }
-	_ = f()
-	*out = kept
-	_ = local
-	return kept
-}
-
 func derived(rowPtr []int, n int) int {
 	start := rowPtr[0]
 	end := start + 1
@@ -492,110 +463,6 @@ func funcDecl(f *ast.File, name string) *ast.FuncDecl {
 		}
 	}
 	return nil
-}
-
-func TestReachingDefs(t *testing.T) {
-	_, f, info := typecheckSrc(t, dataflowSrc)
-	fd := funcDecl(f, "reach")
-	g := FuncGraph(fd)
-	r := g.ReachingDefs(info)
-
-	var xObj types.Object
-	for id, obj := range info.Defs {
-		if id.Name == "x" && obj != nil {
-			xObj = obj
-		}
-	}
-	if xObj == nil {
-		t.Fatal("no def for x")
-	}
-	defs := r.DefsOf(xObj)
-	if len(defs) != 3 {
-		t.Fatalf("want 3 defs of x, got %d", len(defs))
-	}
-	// At the if.after block (which holds the return) the x:=1 def is killed
-	// on both paths; the two branch defs both reach.
-	var merge *Block
-	for _, b := range g.Blocks {
-		if b.Kind == "if.after" {
-			merge = b
-		}
-	}
-	if merge == nil {
-		t.Fatal("no merge block")
-	}
-	reaching := 0
-	initialReaches := false
-	for _, di := range defs {
-		if r.ReachesEntry(merge, di) {
-			reaching++
-			if r.Defs[di].Block == g.Entry {
-				initialReaches = true
-			}
-		}
-	}
-	if reaching != 2 {
-		t.Errorf("want 2 defs of x reaching the merge, got %d", reaching)
-	}
-	if initialReaches {
-		t.Error("x := 1 must be killed on both branches before the merge")
-	}
-
-	// Loop-carried: the in-loop def of acc reaches the loop head.
-	fd2 := funcDecl(f, "loopcarried")
-	g2 := FuncGraph(fd2)
-	r2 := g2.ReachingDefs(info)
-	var accObj types.Object
-	for id, obj := range info.Defs {
-		if id.Name == "acc" && obj != nil {
-			accObj = obj
-		}
-	}
-	var head *Block
-	for _, b := range g2.Blocks {
-		if b.Kind == "for.head" {
-			head = b
-		}
-	}
-	if head == nil || accObj == nil {
-		t.Fatal("missing loop head or acc object")
-	}
-	loopDefReaches := false
-	for _, di := range r2.DefsOf(accObj) {
-		if g2.LoopDepth(r2.Defs[di].Block) > 0 && r2.ReachesEntry(head, di) {
-			loopDefReaches = true
-		}
-	}
-	if !loopDefReaches {
-		t.Error("loop-carried def of acc should reach the loop head")
-	}
-}
-
-func TestLeaves(t *testing.T) {
-	_, f, info := typecheckSrc(t, dataflowSrc)
-	fd := funcDecl(f, "escapes")
-	leaves := Leaves(fd, info)
-	byName := func(name string) types.Object {
-		var found types.Object
-		ast.Inspect(fd, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && id.Name == name {
-				if obj := info.Defs[id]; obj != nil {
-					found = obj
-				}
-			}
-			return true
-		})
-		return found
-	}
-	if !leaves[byName("kept")] {
-		t.Error("kept is returned and stored through *out: should leave")
-	}
-	if !leaves[byName("captured")] {
-		t.Error("captured is referenced by a closure: should leave")
-	}
-	if leaves[byName("local")] {
-		t.Error("local never leaves the function")
-	}
 }
 
 func TestDerived(t *testing.T) {

@@ -5,183 +5,10 @@ import (
 	"go/types"
 )
 
-// This file is the forward dataflow layer over the CFG: classic bitvector
-// reaching definitions, a derived-value (taint) propagation helper, and the
-// "value leaves the function" escape-ish tracking the hotalloc analyzer uses
-// to tell per-iteration garbage from result building.
-
-// Def is one static definition of a variable: an assignment, declaration,
-// inc/dec, range binding, or function parameter (parameters define at entry).
-type Def struct {
-	Obj   types.Object
-	Node  ast.Node // defining statement; nil for parameter entry defs
-	Block *Block
-}
-
-// ReachDefs is the solved reaching-definitions problem: for every block, the
-// set of definitions that may reach its entry and exit.
-type ReachDefs struct {
-	Defs []Def
-	In   []bitset // per block index
-	Out  []bitset
-}
-
-type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
-func (s bitset) set(i int)      { s[i/64] |= 1 << (i % 64) }
-func (s bitset) clear(i int)    { s[i/64] &^= 1 << (i % 64) }
-func (s bitset) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
-
-func (s bitset) orInto(o bitset) bool {
-	changed := false
-	for i := range s {
-		if v := s[i] | o[i]; v != s[i] {
-			s[i] = v
-			changed = true
-		}
-	}
-	return changed
-}
-
-func (s bitset) copyFrom(o bitset) {
-	copy(s, o)
-}
-
-// ReachingDefs collects every definition in the graph and solves the forward
-// may-reach problem with union meet. Parameters of the function (when the
-// graph was built with FuncGraph) define at the entry block.
-func (g *Graph) ReachingDefs(info *types.Info) *ReachDefs {
-	r := &ReachDefs{}
-	defsOf := make(map[types.Object][]int)
-	addDef := func(obj types.Object, n ast.Node, b *Block) {
-		if obj == nil {
-			return
-		}
-		defsOf[obj] = append(defsOf[obj], len(r.Defs))
-		r.Defs = append(r.Defs, Def{Obj: obj, Node: n, Block: b})
-	}
-	if g.fnType != nil {
-		for _, field := range paramFields(g.fnType) {
-			for _, name := range field.Names {
-				addDef(info.Defs[name], nil, g.Entry)
-			}
-		}
-	}
-	// Collect defs block by block, in node order.
-	for _, b := range g.Blocks {
-		for _, n := range b.Nodes {
-			for _, id := range defIdents(n, info) {
-				addDef(defObj(id, info), n, b)
-			}
-		}
-	}
-	n := len(r.Defs)
-	gen := make([]bitset, len(g.Blocks))
-	kill := make([]bitset, len(g.Blocks))
-	for i := range g.Blocks {
-		gen[i], kill[i] = newBitset(n), newBitset(n)
-	}
-	// Within a block the last def of an object survives; every def kills the
-	// object's other defs.
-	for bi, b := range g.Blocks {
-		for di, d := range r.Defs {
-			if d.Block != b {
-				continue
-			}
-			gen[bi].set(di)
-			for _, other := range defsOf[d.Obj] {
-				if other != di {
-					kill[bi].set(other)
-				}
-			}
-		}
-	}
-	r.In = make([]bitset, len(g.Blocks))
-	r.Out = make([]bitset, len(g.Blocks))
-	for i := range g.Blocks {
-		r.In[i], r.Out[i] = newBitset(n), newBitset(n)
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range g.Blocks {
-			in := newBitset(n)
-			for _, p := range b.Preds {
-				in.orInto(r.Out[p.Index])
-			}
-			r.In[b.Index].copyFrom(in)
-			out := newBitset(n)
-			out.copyFrom(in)
-			for i := range out {
-				out[i] = (out[i] &^ kill[b.Index][i]) | gen[b.Index][i]
-			}
-			if r.Out[b.Index].orInto(out) {
-				changed = true
-			}
-		}
-	}
-	return r
-}
-
-// ReachesEntry reports whether definition di may reach the entry of block b.
-func (r *ReachDefs) ReachesEntry(b *Block, di int) bool { return r.In[b.Index].has(di) }
-
-// DefsOf returns the indices of the definitions of obj.
-func (r *ReachDefs) DefsOf(obj types.Object) []int {
-	var out []int
-	for i, d := range r.Defs {
-		if d.Obj == obj {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// paramFields lists receiver-free parameter fields of a function type.
-func paramFields(ft *ast.FuncType) []*ast.Field {
-	if ft.Params == nil {
-		return nil
-	}
-	return ft.Params.List
-}
-
-// defIdents returns the identifiers a statement (re)defines: assignment and
-// declaration left-hand sides, inc/dec targets, and range key/value bindings.
-func defIdents(n ast.Node, info *types.Info) []*ast.Ident {
-	var out []*ast.Ident
-	switch s := n.(type) {
-	case *ast.AssignStmt:
-		for _, lhs := range s.Lhs {
-			if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
-				out = append(out, id)
-			}
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, id := range vs.Names {
-						if id.Name != "_" {
-							out = append(out, id)
-						}
-					}
-				}
-			}
-		}
-	case *ast.IncDecStmt:
-		if id, ok := s.X.(*ast.Ident); ok {
-			out = append(out, id)
-		}
-	case *ast.RangeStmt:
-		for _, e := range []ast.Expr{s.Key, s.Value} {
-			if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-				out = append(out, id)
-			}
-		}
-	}
-	return out
-}
+// This file is the dataflow layer over function bodies: a derived-value
+// (taint) propagation helper and the "value outlives the iteration" tracking
+// the hotalloc analyzer uses to tell per-iteration garbage from result
+// building.
 
 // defObj resolves the object an identifier defines or assigns.
 func defObj(id *ast.Ident, info *types.Info) types.Object {
@@ -279,33 +106,20 @@ func Derived(fn ast.Node, info *types.Info, seed func(ast.Expr) bool) map[types.
 	return derived
 }
 
-// Leaves returns the objects whose value may leave the function: returned,
-// passed as a call argument, sent on a channel, assigned through a selector,
-// index, or dereference (so it may be visible to the caller), or captured by
-// a nested function literal. One level of direct evidence — aliases created
-// by plain variable copies do not propagate, which is enough for the
-// analyzers to separate loop-local garbage from escaping results.
-func Leaves(fn ast.Node, info *types.Info) map[types.Object]bool {
-	return escapeSet(fn, info, true)
-}
-
-// Retained is the variant of Leaves the hotalloc analyzer wants: objects
-// whose value outlives the loop iteration that produced it — returned,
-// stored through a selector/index/dereference, sent on a channel, captured
-// by a closure, or appended into another slice. Plain call arguments do NOT
-// count: a scratch buffer handed to a callee is still a scratch buffer, and
-// hoisting it out of the loop stays correct.
+// Retained returns the objects whose value outlives the loop iteration that
+// produced it — returned, stored through a selector/index/dereference, sent
+// on a channel, captured by a closure, or appended into another slice. One
+// level of direct evidence: aliases created by plain variable copies do not
+// propagate. Plain call arguments do NOT count: a scratch buffer handed to a
+// callee is still a scratch buffer, and hoisting it out of the loop stays
+// correct.
 func Retained(fn ast.Node, info *types.Info) map[types.Object]bool {
-	return escapeSet(fn, info, false)
-}
-
-func escapeSet(fn ast.Node, info *types.Info, callArgs bool) map[types.Object]bool {
-	leaves := make(map[types.Object]bool)
+	retained := make(map[types.Object]bool)
 	markIdents := func(e ast.Expr) {
 		ast.Inspect(e, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
 				if obj := info.Uses[id]; obj != nil {
-					leaves[obj] = true
+					retained[obj] = true
 				}
 			}
 			return true
@@ -318,17 +132,8 @@ func escapeSet(fn ast.Node, info *types.Info, callArgs bool) map[types.Object]bo
 				markIdents(res)
 			}
 		case *ast.CallExpr:
-			isAppend := false
+			// append(dst, x...): the appended values are retained by dst.
 			if id, ok := s.Fun.(*ast.Ident); ok && id.Name == "append" && info.Uses[id] != nil && info.Uses[id].Pkg() == nil {
-				isAppend = true
-			}
-			switch {
-			case callArgs:
-				for _, arg := range s.Args {
-					markIdents(arg)
-				}
-			case isAppend:
-				// append(dst, x...): the appended values are retained by dst.
 				for _, arg := range s.Args[1:] {
 					markIdents(arg)
 				}
@@ -352,7 +157,7 @@ func escapeSet(fn ast.Node, info *types.Info, callArgs bool) map[types.Object]bo
 			ast.Inspect(s.Body, func(m ast.Node) bool {
 				if id, ok := m.(*ast.Ident); ok {
 					if obj := info.Uses[id]; obj != nil {
-						leaves[obj] = true
+						retained[obj] = true
 					}
 				}
 				return true
@@ -361,5 +166,5 @@ func escapeSet(fn ast.Node, info *types.Info, callArgs bool) map[types.Object]bo
 		}
 		return true
 	})
-	return leaves
+	return retained
 }

@@ -1,8 +1,11 @@
 // Package lint is wise-lint: a stdlib-only static-analysis driver with
 // repo-specific analyzers that protect the invariants WISE's measurement and
 // training pipelines depend on — deterministic randomness, epsilon-aware
-// float comparison, paired obs spans, race-free worker patterns, and no
-// silently dropped errors. LINTING.md documents each analyzer, the
+// float comparison, paired obs spans, race-free worker patterns, released
+// resources, and no silently dropped errors. resourcelifecycle, the one
+// analyzer that looks into callee bodies, finds them through their
+// declarations (decls.go); locking discipline is left to go vet's copylocks
+// and the -race test gates. LINTING.md documents each analyzer, the
 // suppression syntax, and how to add a new one; cmd/wise-lint is the CLI
 // that scripts/check.sh and CI gate on.
 package lint
@@ -19,7 +22,7 @@ import (
 
 // Analyzer is one named check. Run inspects a single package and reports
 // findings through the Pass. Category, when set, groups the analyzer's SARIF
-// rule for code-scanning dashboards (the concurrency suite shares one).
+// rule for code-scanning dashboards.
 type Analyzer struct {
 	Name     string
 	Doc      string
@@ -40,10 +43,6 @@ func All() []*Analyzer {
 		CtxPropagateAnalyzer,
 		FaultSiteAnalyzer,
 		IndexGuardAnalyzer,
-		LockDisciplineAnalyzer,
-		GuardedByAnalyzer,
-		GoroutineEscapeAnalyzer,
-		WaitBlockAnalyzer,
 		ResourceLifecycleAnalyzer,
 		NumSafetyAnalyzer,
 	}

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one type-checked, non-test package of the module (or a fixture
@@ -38,14 +37,6 @@ type Module struct {
 
 	byPath map[string]*Package
 	std    types.Importer
-
-	// Interprocedural analysis state (callgraph, guarded-by registry,
-	// entry-held lock sets — see interproc.go), built lazily: once for the
-	// module packages, and once per fixture package layered on top of them.
-	analysisOnce  sync.Once
-	analysis      *modAnalysis
-	extraMu       sync.Mutex
-	extraAnalyses map[*Package]*modAnalysis
 }
 
 // FindModuleRoot walks up from dir to the nearest directory containing

@@ -6,7 +6,6 @@ import (
 	"go/types"
 	"strings"
 
-	"wise/internal/lint/callgraph"
 	"wise/internal/lint/cfg"
 )
 
@@ -32,8 +31,8 @@ import (
 // resource was never acquired there. Ownership transfers are out of scope by
 // design: resources that are returned, stored in a field/global/composite,
 // captured by a non-deferred closure, or passed to a callee that (for
-// module-internal callees, checked through the call graph) releases, stores,
-// or forwards them.
+// module-internal callees, checked by reading the callee's declaration)
+// releases, stores, or forwards them.
 //
 // The second rule is structural: a Start-shaped method that spawns a
 // long-lived goroutine (one with a for or select loop) must have a matching
@@ -407,7 +406,7 @@ func deferredRelease(info *types.Info, st *ast.DeferStmt, a acquisition) bool {
 // calleeTakesOwnership decides whether passing obj as an argument transfers
 // ownership. External callees (stdlib, other modules) are assumed to take
 // it — flagging io.Copy(f, …) would drown the signal. Module-internal
-// callees are checked through the call graph: ownership transfers only if
+// callees are checked through their declarations: ownership transfers only if
 // the callee's body releases the parameter, stores it, or forwards it to
 // something that does (bounded recursion). A module helper that merely uses
 // the resource leaves the caller responsible.
@@ -426,22 +425,17 @@ func calleeTakesOwnership(pass *Pass, call *ast.CallExpr, obj types.Object) bool
 	if fn == nil || fn.Pkg() == nil {
 		return true // dynamic call: assume ownership moved
 	}
-	a := pass.Mod.analysisFor(pass.Pkg)
-	node := a.graph.NodeOf(fn)
-	if node == nil {
+	decl, owner := pass.Mod.declOf(pass.Pkg, fn)
+	if decl == nil {
 		return true // external callee: assume ownership moved
 	}
-	return paramConsumed(a, node, argIdx, 0)
+	return paramConsumed(pass, decl, owner.Info, argIdx, 0)
 }
 
-// paramConsumed reports whether fn's argIdx-th parameter is released,
-// stored, or forwarded to a consuming callee within depth 3.
-func paramConsumed(a *modAnalysis, node *callgraph.Node, argIdx, depth int) bool {
-	decl := node.Decl
-	if decl == nil || decl.Body == nil {
-		return true // no body to inspect: be conservative, assume consumed
-	}
-	info := node.Pkg.Info
+// paramConsumed reports whether decl's argIdx-th parameter is released,
+// stored, or forwarded to a consuming callee within depth 3. info is the
+// type information of decl's package.
+func paramConsumed(pass *Pass, decl *ast.FuncDecl, info *types.Info, argIdx, depth int) bool {
 	obj := paramAt(decl, info, argIdx)
 	if obj == nil {
 		return true // variadic or mismatched signature: assume consumed
@@ -490,12 +484,12 @@ func paramConsumed(a *modAnalysis, node *callgraph.Node, argIdx, depth int) bool
 				consumed = true
 				return false
 			}
-			callee := a.graph.NodeOf(fn)
+			callee, owner := pass.Mod.declOf(pass.Pkg, fn)
 			if callee == nil {
 				consumed = true // external: assume consumed
 				return false
 			}
-			if depth < 3 && paramConsumed(a, callee, fwd, depth+1) {
+			if depth < 3 && paramConsumed(pass, callee, owner.Info, fwd, depth+1) {
 				consumed = true
 			}
 		}
@@ -583,14 +577,13 @@ func checkStartStop(pass *Pass, fd *ast.FuncDecl) {
 // operation: wg.Wait(), close(ch), a channel receive, or calling a func-typed
 // field (a held CancelFunc).
 func methodJoins(pass *Pass, m *types.Func) bool {
-	a := pass.Mod.analysisFor(pass.Pkg)
-	node := a.graph.NodeOf(m)
-	if node == nil || node.Decl == nil || node.Decl.Body == nil {
+	decl, owner := pass.Mod.declOf(pass.Pkg, m)
+	if decl == nil {
 		return false
 	}
-	info := node.Pkg.Info
+	info := owner.Info
 	joins := false
-	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
+	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		if joins {
 			return false
 		}

@@ -92,11 +92,6 @@ func TestWriteSARIF(t *testing.T) {
 			t.Errorf("rule %s category = %q, want %q", a.Name, categories[a.Name], a.Category)
 		}
 	}
-	for _, name := range []string{"lockdiscipline", "guardedby", "goroutineescape", "waitblock"} {
-		if categories[name] != "concurrency" {
-			t.Errorf("rule %s category = %q, want concurrency", name, categories[name])
-		}
-	}
 	if len(run.Results) != len(findings) {
 		t.Fatalf("want %d results, got %d", len(findings), len(run.Results))
 	}

@@ -79,3 +79,22 @@ func (p *poller) Start() { // want resourcelifecycle
 		}
 	}()
 }
+
+// statFile is a module-internal helper that only reads the file. It neither
+// closes, stores nor forwards it, so the caller stays responsible. (The Stat
+// result is deliberately left unbound: binding it would count as a store.)
+func statFile(f *os.File) {
+	f.Stat()
+}
+
+// badPassedToReader hands the file to a helper that only reads it: the
+// interprocedural check walks into statFile, finds no release, and keeps the
+// leak on the caller.
+func badPassedToReader(path string) error {
+	f, err := os.Open(path) // want resourcelifecycle
+	if err != nil {
+		return err
+	}
+	statFile(f)
+	return nil
+}

@@ -14,8 +14,8 @@ fi
 
 go vet ./...
 mkdir -p results
-# The 120s budget keeps the interprocedural pass (call graph + lock
-# dataflow, LINTING.md) from quietly making the pre-PR gate unusable; the
+# The 120s budget keeps a slow analyzer from quietly making the pre-PR gate
+# unusable (a whole-module run takes a few seconds, LINTING.md); the
 # measured wall-clock lands in the SARIF run properties for CI to audit.
 go run ./cmd/wise-lint -budget 120s -sarif results/lint.sarif ./...
 go build ./...
