@@ -254,7 +254,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"suite unknown preset", "wise-bench", []string{"-suite", "XL"}, nil, 2, "-suite"},
 		{"compare one file", "wise-bench", []string{"-compare", filepath.Join(tmp, "only.json")}, nil, 2, "-compare"},
 		{"compare missing file", "wise-bench", []string{"-compare", filepath.Join(tmp, "nope1.json"), filepath.Join(tmp, "nope2.json")}, nil, 1, "nope1.json"},
-		{"lint unknown analyzer", "wise-lint", []string{"-analyzers", "foo,determinism"}, nil, 2, `unknown analyzer "foo"`},
+		{"lint unknown analyzer", "wise-lint", []string{"-analyzers", "foo,floateq"}, nil, 2, `unknown analyzer "foo"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	wise-lint [-json file] [-sarif file] [-fix] [-analyzers a,b] [-budget d] [packages ...]
+//	wise-lint [-json file] [-sarif file] [-analyzers a,b] [-budget d] [packages ...]
 //
 // Package patterns are directory-based: "./..." (or no arguments) lints the
 // whole module; "./internal/ml" or "./internal/..." restricts the report to
@@ -15,13 +15,11 @@
 // analysis stays sound.
 //
 // -sarif writes the findings as a SARIF 2.1.0 log for CI code-scanning
-// upload. -fix applies the suggested fixes (capacity hints, context
-// threading), rewriting only files in which every
-// finding has a fix. -analyzers runs a comma-separated subset of the suite;
-// an unknown name is a usage error (exit 2) so a typo cannot pass CI
-// vacuously. -budget fails the run (exit 1) when linting took longer than
-// the given duration; the run always completes, and the measured wall-clock
-// time and the budget are recorded in the SARIF run properties either way.
+// upload. -analyzers runs a comma-separated subset of the suite; an unknown
+// name is a usage error (exit 2) so a typo cannot pass CI vacuously. -budget
+// fails the run (exit 1) when linting took longer than the given duration;
+// the run always completes, and the measured wall-clock time and the budget
+// are recorded in the SARIF run properties either way.
 package main
 
 import (
@@ -40,7 +38,6 @@ import (
 func main() {
 	jsonPath := flag.String("json", "", "also write findings as JSON to this file (- for stdout)")
 	sarifPath := flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this file (- for stdout)")
-	fix := flag.Bool("fix", false, "apply suggested fixes; only files where every finding has a fix are rewritten")
 	list := flag.Bool("list", false, "list the analyzer suite and exit")
 	subset := flag.String("analyzers", "", "comma-separated analyzer subset to run (default: the full suite)")
 	budget := flag.Duration("budget", 0, "fail if linting takes longer than this (0 = no budget)")
@@ -96,9 +93,6 @@ func main() {
 	}
 	if len(patterns) > 0 || len(flag.Args()) == 0 {
 		findings = append(findings, filterByPatterns(lint.Run(mod, analyzers), mod.Root, patterns)...)
-	}
-	if *fix {
-		os.Exit(applyFixes(mod, findings))
 	}
 	elapsed := time.Since(start)
 
@@ -179,37 +173,6 @@ func validatePattern(p string) error {
 		return fmt.Errorf("unknown package pattern %q: %s is not a directory in this module", p, dir)
 	}
 	return nil
-}
-
-// applyFixes rewrites the files whose findings all carry mechanical fixes and
-// reports what was applied or skipped. Returns the process exit code: 0 when
-// every finding was fixed, 1 when any file was refused.
-func applyFixes(mod *lint.Module, findings []lint.Finding) int {
-	write := func(path string, data []byte) error {
-		return resilience.AtomicWriteFile(path, data, 0o644)
-	}
-	results, err := lint.ApplyFixes(mod.Fset, findings, write)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wise-lint:", err)
-		return 2
-	}
-	code := 0
-	for _, r := range results {
-		file := r.File
-		if rel, err := filepath.Rel(mod.Root, file); err == nil {
-			file = rel
-		}
-		if len(r.Skipped) > 0 {
-			code = 1
-			fmt.Fprintf(os.Stderr, "wise-lint: %s: %d finding(s) have no mechanical fix; file left untouched\n", file, len(r.Skipped))
-			for _, s := range r.Skipped {
-				fmt.Fprintln(os.Stderr, "  "+s)
-			}
-			continue
-		}
-		fmt.Printf("wise-lint: %s: applied %d fix(es)\n", file, r.Applied)
-	}
-	return code
 }
 
 // underTestdata reports whether any element of the path is "testdata".

@@ -83,8 +83,8 @@ type Result struct {
 
 // Measure runs fn under the options and summarizes the timed runs. The
 // timing loop records one wall-clock sample per run (duration measurement
-// only — no wall-clock value ever feeds a result shape or a seed, keeping
-// the package inside the determinism lint contract).
+// only — no wall-clock value ever feeds a result shape or a seed, which
+// TestRunSuiteShapeIsDeterministic pins).
 func Measure(name, group string, opts Options, fn func()) Result {
 	opts = opts.withDefaults()
 	for i := 0; i < opts.Warmup; i++ {

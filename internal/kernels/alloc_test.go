@@ -5,61 +5,59 @@ import (
 	"testing"
 
 	"wise/internal/gen"
+	"wise/internal/machine"
+	"wise/internal/matrix"
 )
 
 // TestSerialSpMVZeroAllocs pins the steady-state allocation behavior of the
-// serial SpMV paths: after a warm-up call (which may size per-pack scratch),
-// repeated products must not touch the heap. This is what the hotalloc
-// analyzer enforces statically; the runtime guard catches anything the
-// analyzer cannot see, such as closures escaping through parallelUnits or
-// fmt boxing on a panic-free path.
+// serial SpMV path of every method the selector can pick — the model space
+// plus the SegCSR extension — on a banded matrix and on a low-locality
+// R-MAT matrix, whose LAV packs gather x through a column permutation into
+// reused scratch. After a warm-up call (which may size per-pack scratch),
+// repeated products must not touch the heap. This runtime check is the
+// allocation gate for the kernels; no static analyzer repeats it. Subtests
+// group the methods by family.
 func TestSerialSpMVZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	m := gen.Banded(rng, 256, []int{-4, -1, 0, 1, 4})
-	x := make([]float64, m.Cols)
-	for i := range x {
-		x[i] = float64(i%13) - 6
-	}
-	y := make([]float64, m.Rows)
-
-	cases := []struct {
+	mach := machine.Scaled()
+	methods := append(ModelSpace(mach), ExtensionMethods(mach.LLCDoubles())...)
+	// The machine's SegCSR window covers all 256 columns of these matrices
+	// in one segment; a 64-column window also walks the multi-segment path.
+	methods = append(methods, ExtensionMethods(128)...)
+	matrices := []struct {
 		name string
-		spmv func(y, x []float64)
+		m    *matrix.CSR
 	}{
-		{"CSR", BuildCSRFormat(m, Dyn, 8).SpMV},
-		{"SELLPACK", BuildSRVPack(m, Method{Kind: SELLPACK, C: 8, Sched: Dyn}).SpMV},
-		{"SegCSR", BuildSegCSR(m, 64, Dyn, 8).SpMV},
+		{"banded", gen.Banded(rand.New(rand.NewSource(7)), 256, []int{-4, -1, 0, 1, 4})},
+		{"rmat-lowloc", gen.RMAT(rand.New(rand.NewSource(11)), 8, 8, gen.LowLoc)},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			tc.spmv(y, x) // warm-up: scratch buffers reach steady state
-			allocs := testing.AllocsPerRun(100, func() {
-				tc.spmv(y, x)
-			})
-			if allocs != 0 {
-				t.Errorf("%s serial SpMV allocates %.1f objects/op in steady state, want 0", tc.name, allocs)
+
+	var kinds []Kind
+	byKind := make(map[Kind][]Method)
+	for _, method := range methods {
+		if _, seen := byKind[method.Kind]; !seen {
+			kinds = append(kinds, method.Kind)
+		}
+		byKind[method.Kind] = append(byKind[method.Kind], method)
+	}
+	for _, kind := range kinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			for _, mat := range matrices {
+				x := make([]float64, mat.m.Cols)
+				for i := range x {
+					x[i] = float64(i%13) - 6
+				}
+				y := make([]float64, mat.m.Rows)
+				for _, method := range byKind[kind] {
+					f := Build(mat.m, method, 8)
+					f.SpMV(y, x) // warm-up: scratch buffers reach steady state
+					allocs := testing.AllocsPerRun(100, func() {
+						f.SpMV(y, x)
+					})
+					if allocs != 0 {
+						t.Errorf("%s on %s: serial SpMV allocates %.1f objects/op in steady state, want 0", method, mat.name, allocs)
+					}
+				}
 			}
 		})
-	}
-}
-
-// TestSerialSpMVZeroAllocsPermuted covers the LAV gather path: with a column
-// permutation the pack gathers x into a reused scratch vector, which must not
-// reallocate once warmed.
-func TestSerialSpMVZeroAllocsPermuted(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	m := gen.RMAT(rng, 8, 8, gen.LowLoc)
-	p := BuildSRVPack(m, Method{Kind: LAV, C: 8, T: 0.7, Sched: Dyn})
-	x := make([]float64, m.Cols)
-	for i := range x {
-		x[i] = float64(i % 7)
-	}
-	y := make([]float64, m.Rows)
-	p.SpMV(y, x)
-	allocs := testing.AllocsPerRun(100, func() {
-		p.SpMV(y, x)
-	})
-	if allocs != 0 {
-		t.Errorf("LAV serial SpMV allocates %.1f objects/op in steady state, want 0", allocs)
 	}
 }

@@ -2,13 +2,12 @@
 // analyzers (LINTING.md, "The v2 engine"). A Graph is a set of basic blocks
 // over the statements and control expressions of one function body; on top
 // of it the package computes dominators, back edges, natural loops with
-// nesting depth; dataflow.go adds the derived-value and retained-value
-// helpers the analyzers share. The graphs are intraprocedural and syntactic: function
-// literals are treated as opaque values of the enclosing function (their
-// bodies get graphs of their own when an analyzer asks for one), and panics
-// and calls that never return (os.Exit, runtime.Goexit, log.Fatal*) are
-// modelled as jumps to the exit block so guard clauses dominate what they
-// protect.
+// nesting depth; dataflow.go adds the derived-value helper. The graphs are
+// intraprocedural and syntactic: function literals are treated as opaque
+// values of the enclosing function (their bodies get graphs of their own
+// when an analyzer asks for one), and panics and calls that never return
+// (os.Exit, runtime.Goexit, log.Fatal*) are modelled as jumps to the exit
+// block so guard clauses dominate what they protect.
 package cfg
 
 import (

@@ -6,9 +6,7 @@ import (
 )
 
 // This file is the dataflow layer over function bodies: a derived-value
-// (taint) propagation helper and the "value outlives the iteration" tracking
-// the hotalloc analyzer uses to tell per-iteration garbage from result
-// building.
+// (taint) propagation helper.
 
 // defObj resolves the object an identifier defines or assigns.
 func defObj(id *ast.Ident, info *types.Info) types.Object {
@@ -104,67 +102,4 @@ func Derived(fn ast.Node, info *types.Info, seed func(ast.Expr) bool) map[types.
 		})
 	}
 	return derived
-}
-
-// Retained returns the objects whose value outlives the loop iteration that
-// produced it — returned, stored through a selector/index/dereference, sent
-// on a channel, captured by a closure, or appended into another slice. One
-// level of direct evidence: aliases created by plain variable copies do not
-// propagate. Plain call arguments do NOT count: a scratch buffer handed to a
-// callee is still a scratch buffer, and hoisting it out of the loop stays
-// correct.
-func Retained(fn ast.Node, info *types.Info) map[types.Object]bool {
-	retained := make(map[types.Object]bool)
-	markIdents := func(e ast.Expr) {
-		ast.Inspect(e, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if obj := info.Uses[id]; obj != nil {
-					retained[obj] = true
-				}
-			}
-			return true
-		})
-	}
-	ast.Inspect(fn, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.ReturnStmt:
-			for _, res := range s.Results {
-				markIdents(res)
-			}
-		case *ast.CallExpr:
-			// append(dst, x...): the appended values are retained by dst.
-			if id, ok := s.Fun.(*ast.Ident); ok && id.Name == "append" && info.Uses[id] != nil && info.Uses[id].Pkg() == nil {
-				for _, arg := range s.Args[1:] {
-					markIdents(arg)
-				}
-			}
-		case *ast.SendStmt:
-			markIdents(s.Value)
-		case *ast.AssignStmt:
-			for i, lhs := range s.Lhs {
-				if _, ok := lhs.(*ast.Ident); ok {
-					continue
-				}
-				// Assignment through a selector, index, or dereference
-				// publishes the RHS beyond the local frame.
-				if i < len(s.Rhs) {
-					markIdents(s.Rhs[i])
-				}
-			}
-		case *ast.FuncLit:
-			// Everything a closure references may outlive the enclosing
-			// function's frame.
-			ast.Inspect(s.Body, func(m ast.Node) bool {
-				if id, ok := m.(*ast.Ident); ok {
-					if obj := info.Uses[id]; obj != nil {
-						retained[obj] = true
-					}
-				}
-				return true
-			})
-			return false
-		}
-		return true
-	})
-	return retained
 }

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -121,14 +120,14 @@ func checkCtxCall(pass *Pass, call *ast.CallExpr, ctxName string) {
 	if sig == nil {
 		return
 	}
-	ctxAt := -1
+	takesCtx := false
 	for i := 0; i < sig.Params().Len(); i++ {
 		if isContextType(sig.Params().At(i).Type()) {
-			ctxAt = i
+			takesCtx = true
 			break
 		}
 	}
-	if ctxAt < 0 {
+	if !takesCtx {
 		return
 	}
 	name := "callee"
@@ -142,30 +141,13 @@ func checkCtxCall(pass *Pass, call *ast.CallExpr, ctxName string) {
 		// A context is passed; the only violation left is explicitly
 		// discarding the in-scope one.
 		if bg := backgroundCall(info, arg); bg != "" {
-			fix := &SuggestedFix{
-				Message: fmt.Sprintf("pass %s instead of context.%s()", ctxName, bg),
-				Edits:   []TextEdit{{Pos: arg.Pos(), End: arg.End(), NewText: ctxName}},
-			}
-			pass.ReportfFix(arg.Pos(), fix,
+			pass.Reportf(arg.Pos(),
 				"call to %s discards the in-scope %s by passing context.%s()", name, ctxName, bg)
 		}
 		return
 	}
-	// No context argument at all.
-	var fix *SuggestedFix
-	if ctxAt == 0 && !sig.Variadic() && len(call.Args) == sig.Params().Len()-1 {
-		fix = &SuggestedFix{
-			Message: fmt.Sprintf("pass %s as the first argument", ctxName),
-			Edits:   []TextEdit{{Pos: call.Lparen + 1, End: call.Lparen + 1, NewText: ctxName + ", "}},
-		}
-	}
-	if fix != nil {
-		pass.ReportfFix(call.Pos(), fix,
-			"%s accepts a context.Context but the in-scope %s is not passed", name, ctxName)
-	} else {
-		pass.Reportf(call.Pos(),
-			"%s accepts a context.Context but the in-scope %s is not passed", name, ctxName)
-	}
+	pass.Reportf(call.Pos(),
+		"%s accepts a context.Context but the in-scope %s is not passed", name, ctxName)
 }
 
 // backgroundCall reports whether e is context.Background() or context.TODO(),

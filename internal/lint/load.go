@@ -151,7 +151,7 @@ func (m *Module) LoadExtraDir(dir, importPath string) (*Package, error) {
 
 // LoadFixture loads a testdata fixture directory as a package. The import
 // path comes from a "//lint:path <path>" directive in any of the fixture's
-// files (so fixtures can opt into path-scoped analyzers like determinism),
+// files (so fixtures can opt into path-scoped analyzers like numsafety),
 // defaulting to "fixture/<dirname>".
 func (m *Module) LoadFixture(dir string) (*Package, error) {
 	importPath := "fixture/" + filepath.Base(dir)

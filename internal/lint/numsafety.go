@@ -393,3 +393,11 @@ func declOf(pkg *Package, fn *types.Func) *ast.FuncDecl {
 	}
 	return nil
 }
+
+// defOrUse returns the object an identifier defines or refers to.
+func defOrUse(info *types.Info, id *ast.Ident) types.Object {
+	if obj := info.Defs[id]; obj != nil {
+		return obj
+	}
+	return info.Uses[id]
+}

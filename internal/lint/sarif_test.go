@@ -12,7 +12,7 @@ import (
 // ruleId, %SRCROOT%-anchored slash paths, and startLine >= 1.
 func TestWriteSARIF(t *testing.T) {
 	findings := []Finding{
-		{Analyzer: "hotalloc", File: "internal/kernels/x.go", Line: 12, Col: 3, Message: "boom"},
+		{Analyzer: "indexguard", File: "internal/kernels/x.go", Line: 12, Col: 3, Message: "boom"},
 		{Analyzer: "unusedignore", File: "internal/ml/y.go", Line: 0, Col: 0, Message: "stale"},
 	}
 	var b strings.Builder

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -141,12 +142,26 @@ func TestLabelCorpusRunQuarantinesPanic(t *testing.T) {
 }
 
 // An overdue matrix (injected delay beyond the per-matrix deadline) is
-// quarantined with a deadline error; the run completes.
+// quarantined with a deadline error; the run completes without waiting for
+// it. The deadline is sized from this host's own labeling speed — ten times
+// the slowest matrix of an uninjected pass — so race instrumentation or a
+// slow machine cannot push ordinary matrices past it. The injected delay is
+// ten deadlines, and a run that waited for the overdue matrix would take at
+// least that long.
 func TestLabelCorpusRunDeadline(t *testing.T) {
 	corpus := checkpointCorpus(t)
+	var slowest time.Duration
+	for _, lm := range corpus {
+		start := time.Now()
+		LabelMatrix(smallLabelConfig(), lm)
+		slowest = max(slowest, time.Since(start))
+	}
+	deadline := 10 * slowest
+	delay := 10 * deadline
+
 	cfg := smallLabelConfig()
-	cfg.MatrixDeadline = 50 * time.Millisecond
-	if err := faultinject.Configure("perf.label.matrix:delay:d=2s:after=2", 1); err != nil {
+	cfg.MatrixDeadline = deadline
+	if err := faultinject.Configure(fmt.Sprintf("perf.label.matrix:delay:d=%s:after=2", delay), 1); err != nil {
 		t.Fatal(err)
 	}
 	defer faultinject.Disable()
@@ -156,13 +171,13 @@ func TestLabelCorpusRunDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(run.Quarantined) != 1 {
-		t.Fatalf("quarantined %d, want 1: %+v", len(run.Quarantined), run.Quarantined)
+		t.Fatalf("quarantined %d, want 1 (deadline %v): %+v", len(run.Quarantined), deadline, run.Quarantined)
 	}
 	if !strings.Contains(run.Quarantined[0].Err, "deadline") {
 		t.Fatalf("quarantine error %q does not mention the deadline", run.Quarantined[0].Err)
 	}
-	if elapsed := time.Since(start); elapsed > 1500*time.Millisecond {
-		t.Fatalf("run waited %v for the overdue matrix instead of abandoning it", elapsed)
+	if elapsed := time.Since(start); elapsed >= delay {
+		t.Fatalf("run took %v, at least the %v injected delay: it waited for the overdue matrix instead of abandoning it", elapsed, delay)
 	}
 	if len(run.Labels) != len(corpus)-1 {
 		t.Fatalf("labeled %d, want %d", len(run.Labels), len(corpus)-1)

@@ -34,6 +34,8 @@ go test -race ./...
 # regression comparison — wall-clock on a loaded dev machine is not a gate
 # by default.
 bench_out=$(mktemp /tmp/BENCH_check.XXXXXX.json)
+# set -e exits on the first failing step; the trap still removes the file.
+trap 'rm -f "$bench_out"' EXIT
 go run ./cmd/wise-bench -suite S -o "$bench_out"
 if [ "$bench_gate" = 1 ]; then
     baseline=$(ls results/BENCH_*.json 2>/dev/null | sort -V | tail -1)
@@ -43,4 +45,3 @@ if [ "$bench_gate" = 1 ]; then
     fi
     go run ./cmd/wise-bench -compare "$baseline" "$bench_out"
 fi
-rm -f "$bench_out"
